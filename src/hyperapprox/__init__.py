@@ -1,9 +1,10 @@
 """Geometric-rate algebraic approximation of analytic multigraphs.
 
-Core pieces: multivariate polynomial / pseudopolynomial algebra, a
-simultaneous root solver with bottleneck root matching and the Hoelder-type
-perturbation bound, sampled compact sets with Hausdorff / fiberwise metrics
-and Kuratowski convergence checks, discrete minimax approximation, the
+Core pieces: multivariate polynomial / pseudopolynomial algebra, a batched
+companion-eigenvalue root solver with one Newton step, bottleneck root
+matching and the Hoelder-type perturbation bound, sampled compact sets
+with Hausdorff / fiberwise metrics and Kuratowski convergence checks,
+discrete minimax approximation, the
 forward and converse rate pipelines, closed-form extremal functions for
 standard sets, and the staircase / closure counterexample demos.
 """

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -178,9 +177,7 @@ def _d_list(cfg: ExperimentConfig):
 def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
     K = _build_compact(cfg)
     F = _parse_pseudopolynomial(cfg)
-    workers = int(os.environ.get("HYPERAPPROX_THREADS", "1"))
-    exp = forward_rate_experiment(F, K, _d_list(cfg), mode=cfg.mode, tol=cfg.tol,
-                                  workers=max(1, workers))
+    exp = forward_rate_experiment(F, K, _d_list(cfg), mode=cfg.mode, tol=cfg.tol)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(F.n)] + ["delta", "graph_dh"]
     rows = [[r.d, *[float(e) for e in r.coeff_errors], r.delta, r.graph_dh] for r in exp.records]
     _write_csv(out / "rates.csv", header, rows)

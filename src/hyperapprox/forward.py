@@ -7,7 +7,6 @@ fiberwise and graph Hausdorff distances across the degree range.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -143,8 +142,7 @@ def _graph_points_excluding(mg: Multigraph, excluded: set) -> np.ndarray:
 
 
 def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
-                            mode: str = "minimax", tol: float = SOLVER_TOL,
-                            workers: int = 1) -> ForwardExperiment:
+                            mode: str = "minimax", tol: float = SOLVER_TOL) -> ForwardExperiment:
     """Run the forward pipeline over a degree range and fit the decay rates.
 
     Requires at least 6 degrees with max degree >= the fiber degree n.  The
@@ -185,11 +183,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
             fibers=tuple(approx_mg.fibers),
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(run_degree, d_list))
-    else:
-        records = tuple(run_degree(d) for d in d_list)
+    records = tuple(run_degree(d) for d in d_list)
 
     delta_fit = fit_geometric_rate([(r.d, r.delta) for r in records], floor=fit_floor)
     graph_fit = fit_geometric_rate([(r.d, r.graph_dh) for r in records], floor=fit_floor)

@@ -251,7 +251,8 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph) -> DeltaResult:
     profile = fiber_profile(y, w)
     delta = float(profile.max())
     graph_dh = hausdorff(y.graph_points(), w.graph_points())
-    assert graph_dh <= delta + 1e-12, "graph distance exceeded fiberwise distance"
+    if graph_dh > delta + 1e-12:
+        raise RuntimeError(f"graph distance {graph_dh:.3e} exceeded fiberwise distance {delta:.3e}")
     return DeltaResult(delta, graph_dh, profile)
 
 

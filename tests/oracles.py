@@ -1,8 +1,8 @@
 """Independent oracles used by the test suite.
 
-These deliberately avoid the library's own code paths: companion-matrix
-eigenvalues for root solving, exhaustive permutations for bottleneck
-matching, grid search for the best constant approximation, the
+These deliberately avoid the library's own code paths: mpmath's
+extended-precision polyroots for root solving, exhaustive permutations for
+bottleneck matching, grid search for the best constant approximation, the
 three-term Chebyshev recurrence for extremal-function growth, and exact
 point-to-segment distances for the Hausdorff distance of polylines.
 """
@@ -11,20 +11,22 @@ from __future__ import annotations
 
 import itertools
 
+import mpmath
 import numpy as np
 
 
-def companion_roots(monic_tail) -> np.ndarray:
-    """Eigenvalues of the companion matrix of t^n + a_1 t^(n-1) + ... + a_n."""
+def mp_roots(monic_tail) -> np.ndarray:
+    """Roots of t^n + a_1 t^(n-1) + ... + a_n by mpmath.polyroots at 30
+    digits with 60 extra bits of working precision.
+
+    polyroots raises NoConvergence on exact multiple roots; compare those
+    with their known values instead.
+    """
     a = np.asarray(monic_tail, dtype=complex).ravel()
-    n = a.size
-    if n == 1:
-        return np.array([-a[0]])
-    C = np.zeros((n, n), dtype=complex)
-    C[1:, :-1] = np.eye(n - 1)
-    # full coefficient vector is (1, a_1, ..., a_n); last column holds -a_n..-a_1
-    C[:, -1] = -a[::-1]
-    return np.linalg.eigvals(C)
+    with mpmath.workdps(30):
+        roots = mpmath.polyroots([mpmath.mpc(1)] + [mpmath.mpc(c) for c in a],
+                                 maxsteps=200, extraprec=60)
+    return np.array([complex(r) for r in roots])
 
 
 def brute_bottleneck(a, b) -> float:

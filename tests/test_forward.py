@@ -106,17 +106,6 @@ def test_delta_rate_is_geometric(exp_experiment):
     assert exp_experiment.passed
 
 
-def test_threaded_run_matches_serial(K401):
-    F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))
-    serial = forward_rate_experiment(F, K401, range(2, 9), workers=1)
-    threaded = forward_rate_experiment(F, K401, range(2, 9), workers=3)
-    for a, b in zip(serial.records, threaded.records):
-        assert a.d == b.d
-        assert a.delta == b.delta
-        assert a.graph_dh == b.graph_dh
-        assert a.coeff_errors == b.coeff_errors
-
-
 def test_fibers_obey_hoelder_bound(exp_experiment, K401):
     # matched fibers of the target and each approximant satisfy the
     # perturbation bound with C = max coeff sup norm + max error + 1

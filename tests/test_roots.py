@@ -1,14 +1,16 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hyperapprox.roots import (
-    NonConvergenceError,
     hoelder_check,
     match_roots,
     solve_monic,
     solve_monic_batch,
 )
-from tests.oracles import brute_bottleneck, companion_roots
+from tests.oracles import brute_bottleneck, mp_roots
 
 
 def test_solve_quadratic_plus_minus_one():
@@ -25,18 +27,27 @@ def test_solve_double_root_with_relaxed_tol():
 
 def test_solve_cubic_explicit_roots():
     rs = solve_monic([-6.0, 11.0, -6.0])
-    oracle = companion_roots([-6.0, 11.0, -6.0])
+    oracle = mp_roots([-6.0, 11.0, -6.0])
     assert match_roots(rs.roots, oracle).bottleneck <= 1e-9
     np.testing.assert_allclose(sorted(r.real for r in rs.roots), [1, 2, 3], atol=1e-9)
 
 
-def test_solver_matches_companion_oracle_random():
-    rng = np.random.default_rng(5)
-    for _ in range(40):
-        n = int(rng.integers(1, 9))
-        coeffs = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
-        rs = solve_monic(coeffs)
-        assert match_roots(rs.roots, companion_roots(coeffs)).bottleneck <= 1e-7
+_coeff = st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)).filter(lambda z: abs(z) <= 3)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(_coeff, min_size=1, max_size=8))
+def test_solver_matches_mpmath_oracle_property(coeffs):
+    try:
+        oracle = mp_roots(coeffs)
+    except mpmath.libmp.NoConvergence:
+        # exact multiple roots: polyroots cannot resolve them, and
+        # test_solver_multiple_roots_converge compares those with known roots
+        assume(False)
+    roots, res, _, tol_used, ok = solve_monic_batch(np.array([coeffs]))
+    assert ok[0]
+    assert res[0] <= tol_used[0] * max(1.0, max(abs(c) for c in coeffs))
+    assert match_roots(roots[0], oracle).bottleneck <= 1e-8
 
 
 def test_solver_residual_contract():
@@ -46,6 +57,39 @@ def test_solver_residual_contract():
     assert ok.all()
     scale = np.maximum(1.0, np.abs(coeffs).max(axis=1))
     assert (res <= tol_used * scale).all()
+
+
+# monic tails with known multiple or tightly clustered roots
+_MULTIPLE = [
+    ([-3.0, 3.0, -1.0], [1.0, 1.0, 1.0]),  # (t - 1)^3
+    ([0.0] * 6, [0.0] * 6),  # t^6
+    ([0.0, 2.0, 0.0, 1.0], [1j, 1j, -1j, -1j]),  # (t^2 + 1)^2
+    ([-(2.0 + 1e-5), 1.0 + 1e-5], [1.0, 1.0 + 1e-5]),  # pair 1e-5 apart
+]
+
+
+@pytest.mark.parametrize("tail, exact", _MULTIPLE)
+def test_solver_multiple_roots_converge(tail, exact):
+    roots, res, _, tol_used, ok = solve_monic_batch(np.array([tail]))
+    assert ok[0]
+    assert res[0] <= tol_used[0] * max(1.0, np.abs(tail).max())
+    assert match_roots(roots[0], np.array(exact, dtype=complex)).bottleneck <= 1e-4
+
+
+def test_solver_keeps_strict_tol_where_the_residual_meets_it():
+    rng = np.random.default_rng(31)
+    batches = [np.array([tail]) for tail, _ in _MULTIPLE]
+    batches.append(rng.uniform(-3, 3, (20, 4)) + 1j * rng.uniform(-3, 3, (20, 4)))
+    strict_multiple = 0
+    for coeffs in batches:
+        _, res, iters, tol_used, ok = solve_monic_batch(coeffs)
+        strict = res <= 1e-12 * np.maximum(1.0, np.abs(coeffs).max(axis=1))
+        assert ok.all()
+        assert (iters == 1).all()
+        assert (tol_used[strict] == 1e-12).all()
+        strict_multiple += int(strict.sum()) if coeffs.shape[0] == 1 else 0
+    # clustered roots alone must not relax the tolerance
+    assert strict_multiple >= 3
 
 
 def test_solver_rejects_nonfinite():

@@ -88,6 +88,17 @@ def test_fiberwise_graph_distance_below_delta():
     assert res.graph_dh <= res.delta + 1e-12
 
 
+def test_fiberwise_graph_distance_above_delta_raises(monkeypatch):
+    from hyperapprox import sets_metrics
+
+    y = _mg([0.0, 1.0], [[1.0, -1.0], [2.0, 0.5]], 2)
+    w = _mg([0.0, 1.0], [[1.1, -1.0], [2.0, 0.5]], 2)
+    delta = float(fiber_profile(y, w).max())
+    monkeypatch.setattr(sets_metrics, "hausdorff", lambda a, b: delta + 1e-6)
+    with pytest.raises(RuntimeError, match="exceeded fiberwise distance"):
+        fiberwise_hausdorff(y, w)
+
+
 def test_fiberwise_base_mismatch():
     y = _mg([0.0, 1.0], [[1.0], [2.0]], 1)
     w = _mg([0.0, 2.0], [[1.0], [2.0]], 1)
