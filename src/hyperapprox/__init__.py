@@ -13,8 +13,6 @@ from .algebra import (
     Polynomial,
     Pseudopolynomial,
     assembled_degree_bound,
-    eval_fiber_poly,
-    eval_poly,
     expr_from_json,
     vieta_from_roots,
 )

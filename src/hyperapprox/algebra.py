@@ -26,9 +26,7 @@ __all__ = [
     "Inv",
     "Pseudopolynomial",
     "CoefficientFunction",
-    "eval_poly",
     "eval_coefficient",
-    "eval_fiber_poly",
     "vieta_from_roots",
     "assembled_degree_bound",
     "expr_from_json",
@@ -131,14 +129,6 @@ class Polynomial:
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(self.num_vars, 1.0)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def evaluate(self, x) -> complex:
         return complex(self.evaluate_many(_as_points(x, self.num_vars))[0])
 
@@ -181,11 +171,6 @@ class Polynomial:
             int(data["m"]),
             [(tuple(e), complex(c[0], c[1])) for e, c in data["terms"]],
         )
-
-
-def eval_poly(p: Polynomial, x) -> complex:
-    """Value of p at a point of C^m.  Raises on dimension mismatch."""
-    return p.evaluate(x)
 
 
 # ---------------------------------------------------------------------------
@@ -427,30 +412,26 @@ class Pseudopolynomial:
         return Pseudopolynomial(int(data["n"]), tuple(coeffs))
 
 
-def eval_fiber_poly(F: Pseudopolynomial, x) -> np.ndarray:
-    """Coefficient vector (a_1(x), ..., a_n(x)); prepending 1 gives F(x, .).
+def vieta_from_roots(roots) -> np.ndarray:
+    """Coefficients (a_1, ..., a_n) of the monic polynomials with the given roots.
 
-    Evaluation failures report the offending coefficient index (1-based).
+    roots is one root vector (n,) or a batch (N, n) with one polynomial per
+    row; the output has the same shape.  Each row's linear factors are
+    multiplied in a canonical order (sorted by real, then imaginary part),
+    so the output is exactly permutation-invariant.  The product runs as one
+    column recurrence over the (n, N) layout.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=complex))
-    return F.coefficients_at(pts)[0]
-
-
-def vieta_from_roots(roots: Sequence[complex]) -> np.ndarray:
-    """Coefficients (a_1, ..., a_n) of the monic polynomial with the given roots.
-
-    Built by multiplying linear factors in a canonical root order, so the
-    output is exactly permutation-invariant.
-    """
-    rs = sorted((complex(r) for r in roots), key=lambda z: (z.real, z.imag))
-    coeffs = np.zeros(0, dtype=complex)
-    for r in rs:
-        nxt = np.empty(coeffs.shape[0] + 1, dtype=complex)
-        shifted = np.concatenate(([1.0 + 0.0j], coeffs[:-1])) if coeffs.size else np.array([1.0 + 0.0j])
-        nxt[: coeffs.size] = coeffs - r * shifted[: coeffs.size]
-        nxt[-1] = -r * (coeffs[-1] if coeffs.size else 1.0)
-        coeffs = nxt
-    return coeffs
+    z = np.asarray(roots, dtype=complex)
+    rows = np.atleast_2d(z)
+    order = np.lexsort((rows.imag, rows.real), axis=1)
+    cols = np.ascontiguousarray(np.take_along_axis(rows, order, axis=1).T)
+    n = cols.shape[0]
+    coeffs = np.zeros((n + 1, cols.shape[1]), dtype=complex)
+    coeffs[0] = 1.0
+    for k, r in enumerate(cols):
+        coeffs[k + 1] = -r * coeffs[k]
+        coeffs[1 : k + 1] -= r * coeffs[:k]
+    return coeffs[1:].T.reshape(z.shape)
 
 
 def assembled_degree_bound(d: int, n: int) -> int:

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -26,6 +27,8 @@ from .forward import forward_rate_experiment
 from .sets_metrics import (
     Multigraph,
     SampledCompact,
+    fibers_from_json,
+    fibers_to_json,
     fit_geometric_rate,
     sample_box,
     sample_disc,
@@ -214,34 +217,43 @@ def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.store_multigraphs:
         payload["target_multigraph"] = exp.target.to_json()
         payload["approximant_multigraphs"] = [
-            {"d": r.d, "fibers": [[[t.real, t.imag] for t in f] for f in r.fibers]}
+            {"d": r.d, "fibers": fibers_to_json(r.fibers)}
             for r in exp.records
         ]
     _write_json(out / "results.json", payload)
     return 0 if exp.passed else 3
 
 
+@contextmanager
+def _input_file(path: str):
+    """Report unreadable or malformed multigraph data as a config error naming the file."""
+    try:
+        yield
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"input file {path} holds no valid multigraph data: {exc}") from exc
+
+
+def _read_multigraph(path: str) -> Multigraph:
+    with _input_file(path):
+        return Multigraph.from_json(json.loads(Path(path).read_text()))
+
+
 def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.from_forward:
-        data = json.loads(Path(cfg.from_forward).read_text())
-        if "target_multigraph" not in data:
-            raise ConfigError("field 'from_forward' points at results without stored multigraphs")
-        limit = Multigraph.from_json(data["target_multigraph"])
-        base = limit.base
-        n = limit.n
-        d_values, w_seq = [], []
-        for entry in data["approximant_multigraphs"]:
-            fibers = tuple(
-                np.asarray([complex(re, im) for re, im in f]) for f in entry["fibers"]
-            )
-            w_seq.append(Multigraph(base, fibers, n))
-            d_values.append(int(entry["d"]))
+        with _input_file(cfg.from_forward):
+            data = json.loads(Path(cfg.from_forward).read_text())
+            if "target_multigraph" not in data:
+                raise ConfigError("field 'from_forward' points at results without stored multigraphs")
+            limit = Multigraph.from_json(data["target_multigraph"])
+            base = limit.base
+            n = limit.n
+            entries = data["approximant_multigraphs"]
+            w_seq = [Multigraph(base, fibers_from_json(e["fibers"]), n) for e in entries]
+            d_values = [int(e["d"]) for e in entries]
     elif cfg.multigraph_paths and cfg.limit_path:
-        limit = Multigraph.from_json(json.loads(Path(cfg.limit_path).read_text()))
+        limit = _read_multigraph(cfg.limit_path)
         base = limit.base
-        w_seq = [
-            Multigraph.from_json(json.loads(Path(p).read_text())) for p in cfg.multigraph_paths
-        ]
+        w_seq = [_read_multigraph(p) for p in cfg.multigraph_paths]
         n = cfg.n if cfg.n is not None else limit.n
         d_values = list(range(1, len(w_seq) + 1))
     else:

@@ -15,7 +15,7 @@ import numpy as np
 from .algebra import Pseudopolynomial, vieta_from_roots
 from .chebyshev import best_approx
 from .extremal import continuity_probe
-from .roots import match_roots
+from .roots import match_roots, min_gaps
 from .sets_metrics import (
     Multigraph,
     RateFit,
@@ -81,14 +81,6 @@ def product_bound_constants(n: int, R: float, r: float, M: float | None = None) 
     return LemmaConstants(n=n, R=R, r=r, M=M, C=tuple(c), D=tuple(d))
 
 
-def _min_gap(points: np.ndarray) -> float:
-    if points.size < 2:
-        return 0.0
-    d = np.abs(points[:, None] - points[None, :])
-    np.fill_diagonal(d, np.inf)
-    return float(d.min())
-
-
 def _cluster_points(points: np.ndarray, tol: float) -> np.ndarray:
     """Greedy clustering of fiber points: values within tol collapse."""
     reps: list = []
@@ -110,10 +102,11 @@ def detect_covering_number(w_seq, n_expected: int, x0_index: int,
     multiple root the solver cannot resolve gaps below roughly the square
     root of its relaxed tolerance, so smaller gaps are numerical jitter.
     The target fiber's points are separated by disjoint closed discs of
-    radius one third of their minimal gap; for every multigraph in the tail
-    of the sequence, each disc must capture at least one fiber point at the
-    declared base point, while no fiber anywhere may exceed n_expected
-    points.  The tail must cover at least the second half of the sequence.
+    radius one third of their minimal gap (unbounded for a single point);
+    for every multigraph in the tail of the sequence, each disc must capture
+    at least one fiber point at the declared base point, while no multigraph
+    may carry more than n_expected points per fiber.  The tail must cover
+    at least the second half of the sequence.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
@@ -126,16 +119,14 @@ def detect_covering_number(w_seq, n_expected: int, x0_index: int,
             f"target fiber at sample {x0_index} has only {distinct.size} separated "
             f"points, need {n_expected}", index=x0_index,
         )
-    gap = _min_gap(distinct)
-    radius = gap / 3.0
+    radius = float(min_gaps(distinct[None, :])[0]) / 3.0
 
     for d_idx, w in enumerate(w_seq):
-        for i, fib in enumerate(w.fibers):
-            if fib.size > n_expected:
-                raise CoveringNumberError(
-                    f"fiber cardinality {fib.size} > covering number {n_expected} "
-                    f"at sequence entry {d_idx}, sample {i}", d=d_idx, index=i,
-                )
+        if w.n > n_expected:
+            raise CoveringNumberError(
+                f"fiber cardinality {w.n} > covering number {n_expected} "
+                f"at sequence entry {d_idx}", d=d_idx,
+            )
 
     ok = []
     for w in w_seq:
@@ -158,15 +149,13 @@ def reconstruct_coefficients(w: Multigraph, n: int) -> np.ndarray:
     """Per-sample monic coefficient vectors recovered from the fibers.
 
     Row i is (a_1(x_i), ..., a_n(x_i)) with a_k the k-th signed elementary
-    symmetric polynomial of the fiber points.  Every fiber must have exactly
-    n points (with multiplicity).
+    symmetric polynomial of the fiber points, computed for all rows in one
+    batched Vieta call.  The multigraph must carry exactly n points per
+    fiber (with multiplicity).
     """
-    out = np.empty((w.base.count, n), dtype=complex)
-    for i, fib in enumerate(w.fibers):
-        if fib.size != n:
-            raise ValueError(f"fiber at sample {i} has {fib.size} points, expected {n}")
-        out[i] = vieta_from_roots(fib)
-    return out
+    if w.n != n:
+        raise ValueError(f"multigraph has {w.n} points per fiber, expected {n}")
+    return vieta_from_roots(w.fibers)
 
 
 @dataclass(frozen=True)
@@ -225,13 +214,11 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, delta_seq=None, *,
         )
 
     if x0_index is None:
-        x0_index = int(np.argmax([_min_gap(f) for f in limit.fibers]))
+        x0_index = int(np.argmax(min_gaps(limit.fibers)))
     n_detected = detect_covering_number(w_seq, n, x0_index, target_fiber=limit.fibers[x0_index])
 
     target_coeffs = reconstruct_coefficients(limit, n)
-    all_mag = [float(np.abs(np.concatenate(w.fibers)).max()) for w in w_seq]
-    all_mag.append(float(np.abs(np.concatenate(limit.fibers)).max()))
-    R = max(all_mag) + 0.1
+    R = max(float(np.abs(w.fibers).max()) for w in (*w_seq, limit)) + 0.1
     r_last = max(float(delta_pairs[-1][1]), fit_floor)
     lemma = product_bound_constants(n, R=R, r=r_last, M=max(delta_fit.M, r_last))
 
@@ -248,8 +235,7 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, delta_seq=None, *,
         coeff_errors[di] = np.abs(rec - target_coeffs).max(axis=0)
         sup_match = 0.0
         for fy, fw in zip(limit.fibers, w.fibers):
-            if fy.size == fw.size:
-                sup_match = max(sup_match, match_roots(fy, fw).bottleneck)
+            sup_match = max(sup_match, match_roots(fy, fw).bottleneck)
         matched_sup.append(sup_match)
         bound_r = max(sup_match, fit_floor)
         per_k = product_bound_constants(n, R=R, r=bound_r, M=lemma.M)

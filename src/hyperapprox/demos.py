@@ -106,7 +106,7 @@ class CounterexampleRow:
 
 def _function_multigraph(xs: np.ndarray, values: np.ndarray, mesh: float) -> Multigraph:
     base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=mesh, ambient_diam=2.0)
-    return Multigraph(base, tuple(np.array([v], dtype=complex) for v in values), n=1)
+    return Multigraph(base, values.reshape(-1, 1), n=1)
 
 
 def counterexample_rates(k_max: int, mesh: float):

@@ -220,10 +220,5 @@ def continuity_probe(shape: StandardShape, grid_points: np.ndarray, grid_mesh: f
     re = np.column_stack([pts.real, pts.imag])
     from scipy.spatial import cKDTree
 
-    tree = cKDTree(re)
-    osc = 0.0
-    for i, nbrs in enumerate(tree.query_ball_point(re, h)):
-        if nbrs:
-            local = vals[nbrs]
-            osc = max(osc, float(np.abs(local - vals[i]).max()))
-    return osc
+    pairs = cKDTree(re).query_pairs(h, output_type="ndarray")
+    return float(np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]]).max(initial=0.0))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .algebra import Polynomial, Pseudopolynomial, assembled_degree_bound
 from .chebyshev import best_approx
-from .roots import solve_monic_batch
+from .roots import min_gaps, solve_monic_batch
 from .sets_metrics import (
     Multigraph,
     RateFit,
@@ -83,19 +83,14 @@ def sample_multigraph(family, K: SampledCompact, tol: float = SOLVER_TOL) -> Mul
     flagged = tuple(int(i) for i in np.nonzero(~ok)[0])
     if flagged:
         warnings.warn(f"root solver flagged {len(flagged)} sample point(s)", RuntimeWarning)
-    n = coeffs.shape[1]
-    mg = Multigraph(K, tuple(roots[i] for i in range(K.count)), n, flagged)
+    mg = Multigraph(K, roots, coeffs.shape[1], flagged)
     # persistent fiber collisions across the base suggest a non-reduced
     # (degenerate) fiber polynomial; surface that as a warning only
-    if n >= 2 and K.count:
-        gaps = np.abs(roots[:, :, None] - roots[:, None, :])
-        gaps[:, np.arange(n), np.arange(n)] = np.inf
-        frac = float(np.mean(gaps.min(axis=(1, 2)) < 1e-8))
-        if frac > 0.5:
-            warnings.warn(
-                "fibers show persistent root collisions; the fiber polynomial "
-                "may not be reduced", RuntimeWarning,
-            )
+    if K.count and np.mean(min_gaps(roots) < 1e-8) > 0.5:
+        warnings.warn(
+            "fibers show persistent root collisions; the fiber polynomial "
+            "may not be reduced", RuntimeWarning,
+        )
     return mg
 
 
@@ -108,7 +103,7 @@ class ForwardRecord:
     delta: float
     graph_dh: float
     flagged_count: int
-    fibers: tuple = field(repr=False, default=())
+    fibers: np.ndarray | None = field(repr=False, default=None)  # (N, n) approximant fibers
 
 
 @dataclass(frozen=True)
@@ -129,16 +124,6 @@ class ForwardExperiment:
     @property
     def passed(self) -> bool:
         return all(self.checks.values())
-
-
-def _graph_points_excluding(mg: Multigraph, excluded: set) -> np.ndarray:
-    rows = []
-    for i, (x, fib) in enumerate(zip(mg.base.points, mg.fibers)):
-        if i in excluded:
-            continue
-        for t in fib:
-            rows.append(np.concatenate([x, [t]]))
-    return np.asarray(rows, dtype=complex)
 
 
 def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
@@ -163,15 +148,12 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
     def run_degree(d: int):
         polys, errors = approximate_hypersurface(F, K, d, mode=mode)
         approx_mg = sample_multigraph(polys, K, tol)
-        excluded = set(target.flagged) | set(approx_mg.flagged)
-        profile = fiber_profile(target, approx_mg)
-        keep = [i for i in range(K.count) if i not in excluded]
-        if not keep:
+        keep = ~np.isin(np.arange(K.count), target.flagged + approx_mg.flagged)
+        if not keep.any():
             raise RuntimeError(f"all sample points flagged at degree {d}")
-        delta = float(profile[keep].max())
-        gy = _graph_points_excluding(target, excluded)
-        gw = _graph_points_excluding(approx_mg, excluded)
-        graph_dh = hausdorff(gy, gw)
+        delta = float(fiber_profile(target, approx_mg)[keep].max())
+        rows = np.repeat(keep, F.n)
+        graph_dh = hausdorff(target.graph_points()[rows], approx_mg.graph_points()[rows])
         return ForwardRecord(
             d=d,
             deg_bound=assembled_degree_bound(d, F.n),
@@ -179,8 +161,8 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
             coeff_errors=errors,
             delta=delta,
             graph_dh=graph_dh,
-            flagged_count=len(excluded),
-            fibers=tuple(approx_mg.fibers),
+            flagged_count=int(K.count - keep.sum()),
+            fibers=approx_mg.fibers,
         )
 
     records = tuple(run_degree(d) for d in d_list)

@@ -66,6 +66,16 @@ def _horner_monic_batch(coeffs: np.ndarray, z: np.ndarray):
     return val, dval
 
 
+def min_gaps(z: np.ndarray) -> np.ndarray:
+    """Minimum pairwise distance within each row of z (N, n); inf where n < 2."""
+    nbatch, n = z.shape
+    if n < 2:
+        return np.full(nbatch, np.inf)
+    gaps = np.abs(z[:, :, None] - z[:, None, :])
+    gaps[:, np.arange(n), np.arange(n)] = np.inf
+    return gaps.min(axis=(1, 2))
+
+
 def solve_monic_batch(coeffs: np.ndarray, tol: float = DEFAULT_TOL):
     """Solve a batch of monic polynomials t^n + a_1 t^(n-1) + ... + a_n.
 
@@ -102,9 +112,7 @@ def solve_monic_batch(coeffs: np.ndarray, tol: float = DEFAULT_TOL):
     z[better] = z_new[better]
     res[better] = res_new[better]
 
-    gaps = np.abs(z[:, :, None] - z[:, None, :])
-    gaps[:, np.arange(n), np.arange(n)] = np.inf
-    clustered = gaps.min(axis=(1, 2)) < CLUSTER_GAP
+    clustered = min_gaps(z) < CLUSTER_GAP
     tol_used = np.where((res > tol * scale) & clustered, max(tol, RELAXED_TOL), tol)
     converged = res <= tol_used * scale
 

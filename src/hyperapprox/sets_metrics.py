@@ -27,6 +27,8 @@ __all__ = [
     "hausdorff",
     "fiberwise_hausdorff",
     "fiber_profile",
+    "fibers_to_json",
+    "fibers_from_json",
     "kuratowski_check",
     "fit_geometric_rate",
     "sample_segment",
@@ -121,78 +123,83 @@ class SampledCompact:
                               ambient_diam=data.get("ambient_diam"), shape=shape)
 
 
+def fibers_to_json(fibers: np.ndarray) -> list:
+    """Fiber array (..., n) as nested lists of [re, im] pairs."""
+    return np.stack([fibers.real, fibers.imag], axis=-1).tolist()
+
+
+def fibers_from_json(data) -> np.ndarray:
+    """Inverse of fibers_to_json: a (N, n) complex array, built exactly.
+
+    Raises ValueError unless every fiber lists the same number of [re, im]
+    pairs.
+    """
+    raw = np.asarray(data, dtype=float)
+    if raw.ndim != 3 or raw.shape[2] != 2:
+        raise ValueError(
+            f"fibers must be N lists of n [re, im] pairs, got an array of shape {raw.shape}"
+        )
+    return np.ascontiguousarray(raw).view(complex)[..., 0]
+
+
 @dataclass(frozen=True)
 class Multigraph:
-    """Map from each base sample point to a finite nonempty fiber in C.
+    """Map from each base sample point to its fiber of n points in C.
 
-    The graph (union of {x} x fiber(x)) is a sampled subset of K x C; n is
-    the declared covering number, so every fiber has size <= n.
+    fibers is a read-only (base.count, n) complex array: row i lists the n
+    roots, with multiplicity, of the monic fiber polynomial at base point i.
+    The graph (union of {x} x fiber(x)) is a sampled subset of K x C.
+    flagged holds the indices of base points whose roots the solver did not
+    certify.
     """
 
     base: SampledCompact
-    fibers: tuple
+    fibers: np.ndarray
     n: int
     flagged: tuple = ()
 
     def __post_init__(self):
-        fibs = tuple(np.asarray(f, dtype=complex).ravel() for f in self.fibers)
-        if len(fibs) != self.base.count:
-            raise ValueError("one fiber per base sample point required")
-        for i, f in enumerate(fibs):
-            if f.size == 0:
-                raise ValueError(f"fiber at sample {i} is empty")
-            if f.size > self.n:
-                raise ValueError(f"fiber at sample {i} has {f.size} points > covering number {self.n}")
+        if self.n < 1:
+            raise ValueError(f"covering number must be >= 1, got {self.n}")
+        try:
+            fibs = np.asarray(self.fibers, dtype=complex)
+        except ValueError as exc:
+            raise ValueError(f"fibers must all have {self.n} points: {exc}") from exc
+        if fibs.shape != (self.base.count, self.n):
+            raise ValueError(
+                f"fibers have shape {fibs.shape}, need one row of n = {self.n} points "
+                f"per base sample point ({self.base.count}, {self.n})"
+            )
+        fibs.setflags(write=False)
         object.__setattr__(self, "fibers", fibs)
 
     def graph_points(self) -> np.ndarray:
-        """All points (x, t) of the sampled graph, shape (sum sizes, m + 1)."""
-        rows = []
-        for x, fib in zip(self.base.points, self.fibers):
-            for t in fib:
-                rows.append(np.concatenate([x, [t]]))
-        return np.asarray(rows, dtype=complex)
-
-    def graph_compact(self, mesh: float | None = None) -> SampledCompact:
-        return SampledCompact(self.graph_points(),
-                              mesh=self.base.mesh if mesh is None else mesh,
-                              ambient_diam=self.base.ambient_diam)
-
-    def shift_fibers(self, c: complex) -> "Multigraph":
-        return Multigraph(self.base, tuple(f + c for f in self.fibers), self.n, self.flagged)
+        """All points (x, t) of the sampled graph, shape (N * n, m + 1), x-major."""
+        return np.column_stack([np.repeat(self.base.points, self.n, axis=0), self.fibers.ravel()])
 
     def to_json(self) -> dict:
         out = self.base.to_json()
         out["n"] = self.n
-        out["fibers"] = [[[t.real, t.imag] for t in f] for f in self.fibers]
+        out["fibers"] = fibers_to_json(self.fibers)
         out["flagged"] = list(self.flagged)
         return out
 
     @staticmethod
     def from_json(data: dict) -> "Multigraph":
         base = SampledCompact.from_json(data)
-        fibers = tuple(
-            np.asarray([complex(re, im) for re, im in f], dtype=complex) for f in data["fibers"]
-        )
-        return Multigraph(base, fibers, int(data["n"]), tuple(data.get("flagged", ())))
+        return Multigraph(base, fibers_from_json(data["fibers"]), int(data["n"]),
+                          tuple(data.get("flagged", ())))
 
 
 # ---------------------------------------------------------------------------
 # distances
 
-_BRUTE_PAIR_LIMIT = 4_000_000
-
-
 def _directed(a_re: np.ndarray, b_re: np.ndarray) -> float:
     """sup over a of the distance to b (both nonempty real arrays).
 
-    Brute force at desk scale, grid-indexed nearest-neighbour queries above
-    ~4M pairs; both are exact and deterministic.
+    Exact nearest-neighbour queries against a k-d tree on b; deterministic.
     """
-    if a_re.shape[0] * b_re.shape[0] <= _BRUTE_PAIR_LIMIT:
-        return float(cdist(a_re, b_re).min(axis=1).max())
-    tree = cKDTree(b_re)
-    d, _ = tree.query(a_re, k=1)
+    d, _ = cKDTree(b_re).query(a_re, k=1)
     return float(np.max(d))
 
 
@@ -224,18 +231,17 @@ def hausdorff(e, f, ambient_diam: float | None = None) -> float:
     return max(_directed(a, b), _directed(b, a))
 
 
-def _fiber_hausdorff(a: np.ndarray, b: np.ndarray) -> float:
-    d = np.abs(a[:, None] - b[None, :])
-    return float(max(d.min(axis=1).max(), d.min(axis=0).max()))
-
-
 def fiber_profile(y: Multigraph, w: Multigraph) -> np.ndarray:
-    """Per-base-point Hausdorff distance between the two fibers."""
+    """Per-base-point Hausdorff distance between the two fibers, shape (N,).
+
+    One (N, n_y, n_w) reduction over all pairwise fiber-point distances.
+    """
     if y.base.points.shape != w.base.points.shape or not np.array_equal(
         y.base.points, w.base.points
     ):
         raise ValueError("multigraphs must share the same base sample points")
-    return np.array([_fiber_hausdorff(a, b) for a, b in zip(y.fibers, w.fibers)])
+    d = np.abs(y.fibers[:, :, None] - w.fibers[:, None, :])
+    return np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
 
 
 @dataclass(frozen=True)

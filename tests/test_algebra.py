@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,8 +14,6 @@ from hyperapprox.algebra import (
     Polynomial,
     Pseudopolynomial,
     assembled_degree_bound,
-    eval_fiber_poly,
-    eval_poly,
     expr_from_json,
     expr_to_json,
     vieta_from_roots,
@@ -24,23 +23,23 @@ from hyperapprox.roots import match_roots, solve_monic
 
 def test_eval_constant_one():
     p = Polynomial.constant(3, 1.0)
-    assert eval_poly(p, [0.3, -1j, 2.0]) == 1.0
+    assert p.evaluate([0.3, -1j, 2.0]) == 1.0
 
 
 def test_eval_square():
     p = Polynomial.from_terms(1, [((2,), 1.0)])
-    assert eval_poly(p, 2.0) == 4.0
+    assert p.evaluate(2.0) == 4.0
 
 
 def test_eval_root_by_construction():
     p = Polynomial.from_coeffs_1d([2.0, -3.0, 1.0])  # t^2 - 3t + 2
-    assert abs(eval_poly(p, 1.0)) == 0.0
+    assert abs(p.evaluate(1.0)) == 0.0
 
 
 def test_eval_dimension_mismatch():
     p = Polynomial.coordinate(2, 0)
     with pytest.raises(ValueError):
-        eval_poly(p, [1.0, 2.0, 3.0])
+        p.evaluate([1.0, 2.0, 3.0])
 
 
 def test_zero_polynomial_degree_sentinel():
@@ -68,6 +67,21 @@ def test_vieta_permutation_invariant_exact():
     for perm in ([4, 2, 0, 1, 3], [1, 0, 3, 4, 2]):
         again = vieta_from_roots(roots[perm])
         assert np.array_equal(base, again)
+
+
+def test_vieta_batch_rows_match_single_rows():
+    rng = np.random.default_rng(13)
+    roots = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+    batch = vieta_from_roots(roots)
+    assert batch.shape == (50, 4)
+    for row, coeffs in zip(roots, batch):
+        assert np.array_equal(vieta_from_roots(row[::-1]), coeffs)
+        with mpmath.workdps(30):
+            ref = [mpmath.mpc(1)]
+            for r in row:  # multiply out prod (t - r) one linear factor at a time
+                ref = [a - mpmath.mpc(r) * b for a, b in zip(ref + [0], [0] + ref)]
+            ref = np.array([complex(c) for c in ref[1:]])
+        assert np.abs(coeffs - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max())
 
 
 def test_vieta_solver_round_trip():
@@ -108,24 +122,24 @@ def test_degree_bound_2d_minus_1_property():
 
 def test_fiber_poly_exp_example():
     F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))  # t^2 - e^x
-    np.testing.assert_allclose(eval_fiber_poly(F, 0.0), [0.0, -1.0])
+    np.testing.assert_allclose(F.coefficients_at(0.0)[0], [0.0, -1.0])
 
 
 def test_fiber_poly_linear():
     F = Pseudopolynomial(1, (Const(0.0),))  # F = t
-    np.testing.assert_allclose(eval_fiber_poly(F, 1.7), [0.0])
+    np.testing.assert_allclose(F.coefficients_at(1.7)[0], [0.0])
 
 
 def test_fiber_poly_constant_coeffs():
     F = Pseudopolynomial(2, (Const(2.0), Const(1.0)))  # t^2 + 2t + 1
-    np.testing.assert_allclose(eval_fiber_poly(F, 0.3), [2.0, 1.0])
+    np.testing.assert_allclose(F.coefficients_at(0.3)[0], [2.0, 1.0])
 
 
 def test_fiber_poly_reports_offending_index():
     # second coefficient has a pole at x = 0
     F = Pseudopolynomial(2, (Const(0.0), Inv(Coord(0))))
     with pytest.raises(ValueError, match="a_2"):
-        eval_fiber_poly(F, 0.0)
+        F.coefficients_at(0.0)[0]
 
 
 def test_monic_invariant_enforced():

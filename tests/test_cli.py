@@ -185,3 +185,33 @@ def test_numerical_failure_exits_3(tmp_path):
     assert code == 3
     results = json.loads((out / "results.json").read_text())
     assert results.get("flagged") is True
+
+
+def test_converse_ragged_fibers_exit_2(tmp_path, capsys):
+    # one stored fiber loses a root: rejected at the input boundary, naming the file
+    fwd_out = tmp_path / "fwd"
+    assert main(["run", _write_cfg(tmp_path, FORWARD_CFG), "--out", str(fwd_out)]) == 0
+    results_path = fwd_out / "results.json"
+    data = json.loads(results_path.read_text())
+    data["approximant_multigraphs"][2]["fibers"][17].pop()
+    results_path.write_text(json.dumps(data))
+    cfg = {"command": "converse", "from_forward": str(results_path)}
+    cfg_path = tmp_path / "converse.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "conv")]) == 2
+    assert str(results_path) in capsys.readouterr().err
+
+
+def test_converse_malformed_multigraph_file_exit_2(tmp_path, capsys):
+    from hyperapprox.sets_metrics import Multigraph, SampledCompact
+
+    base = SampledCompact([[0.0], [1.0]], mesh=0.5, ambient_diam=1.0)
+    limit = Multigraph(base, [[1.0, -1.0], [2.0, -2.0]], 2).to_json()
+    limit_path = tmp_path / "limit.json"
+    limit_path.write_text(json.dumps(limit))
+    bad = dict(limit, fibers=[[1.0, -1.0], [2.0, -2.0]])  # bare numbers, not [re, im]
+    bad_path = tmp_path / "w1.json"
+    bad_path.write_text(json.dumps(bad))
+    cfg = {"command": "converse", "multigraph_paths": [str(bad_path)], "limit_path": str(limit_path)}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert str(bad_path) in capsys.readouterr().err

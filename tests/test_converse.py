@@ -90,9 +90,9 @@ def test_reconstruct_constant_fibers():
 
 def test_reconstruct_rejects_wrong_fiber_size():
     base = SampledCompact(np.array([[0.0]], dtype=complex), mesh=0.5, ambient_diam=1.0)
-    mg = Multigraph(base, (np.array([1.0]),), 2)
+    mg = Multigraph(base, (np.array([1.0, -1.0]),), 2)
     with pytest.raises(ValueError):
-        reconstruct_coefficients(mg, 2)
+        reconstruct_coefficients(mg, 3)
 
 
 def test_reconstruct_matches_stored_coeff_polys(exp_round_trip, K401):
@@ -173,3 +173,30 @@ def test_subsampled_rate_stays_geometric(exp_round_trip):
     pairs = [(r.d, r.delta) for r in fwd.records][::2]
     fit = fit_geometric_rate(pairs, floor=fwd.fit_floor)
     assert fit.verdict == "geometric"
+
+
+def test_single_root_fibers_round_trip(tmp_path):
+    # n = 1: the target fiber is one point, so its separating disc is
+    # unbounded and the covering number check passes
+    import json
+
+    from hyperapprox.cli import main
+
+    fwd_cfg = {
+        "command": "forward",
+        "shape": {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]},
+        "samples": 201,
+        "fiber_degree": 1,
+        "coefficients": [{"op": "neg", "args": [{"op": "exp", "args": [{"op": "coord", "args": [0]}]}]}],
+        "d_range": [1, 10],
+    }
+    fwd_path = tmp_path / "forward.json"
+    fwd_path.write_text(json.dumps(fwd_cfg))
+    assert main(["run", str(fwd_path), "--out", str(tmp_path / "fwd")]) == 0
+    conv_path = tmp_path / "converse.json"
+    conv_path.write_text(json.dumps(
+        {"command": "converse", "from_forward": str(tmp_path / "fwd" / "results.json")}))
+    assert main(["run", str(conv_path), "--out", str(tmp_path / "conv")]) == 0
+    results = json.loads((tmp_path / "conv" / "results.json").read_text())
+    assert results["verdict"] == "holomorphic-witness"
+    assert results["n_detected"] == 1

@@ -124,7 +124,7 @@ def test_probe_uniform_shift_gives_constant_one():
     xs = np.linspace(0.0, 1.0, 2001)
     base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=0.00025, ambient_diam=2.0)
     flat = Multigraph(base, tuple(np.array([0.25], dtype=complex) for _ in xs), 1)
-    shifted = flat.shift_fibers(0.125)
+    shifted = Multigraph(base, flat.fibers + 0.125, 1)
     probe = fiberwise_constant_probe(flat, shifted)
     assert probe.c_est == pytest.approx(1.0, abs=1e-9)
     assert probe.delta == pytest.approx(0.125, abs=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hyperapprox.roots import (
     hoelder_check,
     match_roots,
+    min_gaps,
     solve_monic,
     solve_monic_batch,
 )
@@ -198,3 +199,9 @@ def _perturb_bounded(rng, a, scale, C):
         b = a + delta
         if np.abs(b).max() <= C:
             return b
+
+
+def test_min_gaps_per_row():
+    z = np.array([[0.0, 3.0, 1.0], [2.0, 2.0, 5.0j]], dtype=complex)
+    assert min_gaps(z).tolist() == [1.0, 0.0]
+    assert min_gaps(np.array([[1.0], [2.0]], dtype=complex)).tolist() == [np.inf, np.inf]

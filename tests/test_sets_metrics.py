@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from hyperapprox.sets_metrics import (
     Multigraph,
     SampledCompact,
     fiber_profile,
+    fibers_from_json,
+    fibers_to_json,
     fiberwise_hausdorff,
     fit_geometric_rate,
     hausdorff,
@@ -74,7 +78,7 @@ def test_fiberwise_zero_on_equal():
 def test_fiberwise_uniform_translation():
     y = _mg([0.0, 0.5, 1.0], [[1.0, -1.0], [0.3, 2.0], [0.0, 1.5]], 2)
     c = 0.7 - 0.2j
-    w = y.shift_fibers(c)
+    w = Multigraph(y.base, y.fibers + c, 2)
     res = fiberwise_hausdorff(y, w)
     assert res.delta == pytest.approx(abs(c), abs=1e-12)
 
@@ -114,6 +118,28 @@ def test_multigraph_validators():
         Multigraph(base, (np.array([]), np.array([1.0])), 1)  # empty fiber
     with pytest.raises(ValueError):
         Multigraph(base, (np.array([1.0, 2.0]), np.array([1.0])), 1)  # too big
+
+
+def test_multigraph_fibers_are_a_read_only_array():
+    y = _mg([0.0, 1.0], [[1.0, -1.0], [0.5j, 2.0]], 2)
+    assert y.fibers.shape == (2, 2) and y.fibers.dtype == complex
+    with pytest.raises(ValueError):
+        y.fibers[0, 0] = 3.0
+    with pytest.raises(ValueError):
+        Multigraph(y.base, [[1.0], [2.0]], 2)  # one point short in every fiber
+
+
+def test_graph_points_order_and_fiber_profile_match_loops():
+    rng = np.random.default_rng(41)
+    base = rng.uniform(-1, 1, 9)
+    fy = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+    fw = rng.normal(size=(9, 3)) + 1j * rng.normal(size=(9, 3))
+    y, w = _mg(base, fy, 3), _mg(base, fw, 3)
+    rows = [[x, t] for x, fib in zip(base, fy) for t in fib]
+    assert np.array_equal(y.graph_points(), np.asarray(rows, dtype=complex))
+    for i in range(9):
+        d = np.abs(fy[i][:, None] - fw[i][None, :])
+        assert fiber_profile(y, w)[i] == max(d.min(axis=1).max(), d.min(axis=0).max())
 
 
 # ------------------------------------------------------------- kuratowski
@@ -255,3 +281,24 @@ def test_multigraph_json_round_trip():
     assert np.array_equal(again.base.points, y.base.points)
     for f, g in zip(again.fibers, y.fibers):
         assert np.array_equal(f, g)
+
+
+def test_fiber_codec_round_trip_is_exact():
+    fibers = np.array([[complex(1.0, -0.0), -1.0], [complex(0.5, -0.0), complex(2.0, 1e-300)]])
+    assert np.signbit(fibers.imag).tolist() == [[True, False], [True, False]]
+    y = _mg([0.0, 1.0], fibers, 2)
+    first = y.to_json()
+    again = Multigraph.from_json(json.loads(json.dumps(first)))
+    assert json.dumps(again.to_json()) == json.dumps(first)
+    assert np.signbit(again.fibers.imag).tolist() == [[True, False], [True, False]]
+    assert np.array_equal(fibers_from_json(fibers_to_json(fibers)), fibers)
+
+
+@pytest.mark.parametrize("bad", [
+    [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0]]],  # ragged
+    [[1.0, 2.0], [3.0, 4.0]],  # bare numbers, not [re, im] pairs
+    [[[1.0, 0.0, 0.0]], [[2.0, 0.0, 0.0]]],  # triples
+])
+def test_fiber_codec_rejects_malformed_input(bad):
+    with pytest.raises(ValueError):
+        fibers_from_json(bad)
