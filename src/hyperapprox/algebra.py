@@ -1,12 +1,15 @@
 """Multivariate complex polynomials, coefficient expression trees, and monic
 pseudopolynomials (polynomials in a fiber variable t with function coefficients).
 
-Polynomials use a dense term list in graded-lexicographic order; the zero
-polynomial has degree -1 so that degree arithmetic needs no special cases.
+Polynomials use a dense term list in graded-lexicographic order over the
+coordinates of a per-variable affine map (identity by default), so an
+approximant keeps the well-scaled coordinates it was fitted in; the zero
+polynomial has degree -1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -52,19 +55,53 @@ def _as_points(x, m: int) -> np.ndarray:
     return pts
 
 
+def power_tables(w: np.ndarray, degrees) -> list:
+    """Per-variable power tables of an (N, m) array: entry i has shape
+    (degrees[i] + 1, N) and row k holds w[:, i] ** k, built by repeated
+    multiplication in w's dtype."""
+    n = w.shape[0]
+    tables = []
+    for i, deg in enumerate(degrees):
+        table = np.empty((deg + 1, n), dtype=w.dtype)
+        table[0] = 1.0
+        for k in range(1, deg + 1):
+            table[k] = table[k - 1] * w[:, i]
+        tables.append(table)
+    return tables
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """Dense multivariate polynomial with complex coefficients.
+    """Dense multivariate polynomial with complex coefficients, stored in the
+    coordinates of an affine map.
 
     terms: tuple of (exponent tuple, coefficient), graded-lex sorted,
-    no duplicate exponents, no stored zero coefficients.
+    no duplicate exponents, no stored zero coefficients.  The polynomial is
+    sum c_e * prod(((x_i - center_i) / scale_i) ** e_i): center (complex) and
+    scale (positive float) hold one value per variable and default to the
+    identity map, in which case terms are plain monomials.
     """
 
     num_vars: int
     terms: tuple = ()
+    center: tuple = ()
+    scale: tuple = ()
+
+    def __post_init__(self):
+        m = self.num_vars
+        center = tuple(complex(c) for c in self.center) or (0j,) * m
+        scale = tuple(float(s) for s in self.scale) or (1.0,) * m
+        if len(center) != m or len(scale) != m:
+            raise ValueError(f"center and scale need one entry per variable (num_vars={m})")
+        if not all(math.isfinite(c.real) and math.isfinite(c.imag) for c in center):
+            raise ValueError(f"center entries must be finite, got {center}")
+        if not all(math.isfinite(s) and s > 0 for s in scale):
+            raise ValueError(f"scale entries must be finite and positive, got {scale}")
+        object.__setattr__(self, "center", center)
+        object.__setattr__(self, "scale", scale)
 
     @staticmethod
-    def from_terms(num_vars: int, terms: Iterable) -> "Polynomial":
+    def from_terms(num_vars: int, terms: Iterable, center=(), scale=()) -> "Polynomial":
         acc: dict = {}
         for exps, coeff in terms:
             exps = tuple(int(e) for e in exps)
@@ -75,23 +112,7 @@ class Polynomial:
             acc[exps] = acc.get(exps, 0.0 + 0.0j) + complex(coeff)
         cleaned = [(e, c) for e, c in acc.items() if c != 0]
         cleaned.sort(key=lambda t: (sum(t[0]), t[0]))
-        return Polynomial(num_vars, tuple(cleaned))
-
-    @staticmethod
-    def zero(num_vars: int) -> "Polynomial":
-        return Polynomial(num_vars, ())
-
-    @staticmethod
-    def constant(num_vars: int, value: complex) -> "Polynomial":
-        return Polynomial.from_terms(num_vars, [((0,) * num_vars, value)])
-
-    @staticmethod
-    def coordinate(num_vars: int, index: int) -> "Polynomial":
-        if not 0 <= index < num_vars:
-            raise ValueError(f"coordinate index {index} out of range")
-        exps = [0] * num_vars
-        exps[index] = 1
-        return Polynomial.from_terms(num_vars, [(tuple(exps), 1.0)])
+        return Polynomial(num_vars, tuple(cleaned), tuple(center), tuple(scale))
 
     @staticmethod
     def from_coeffs_1d(coeffs: Sequence[complex]) -> "Polynomial":
@@ -104,30 +125,9 @@ class Polynomial:
             return -1
         return max(sum(e) for e, _ in self.terms)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        if self.num_vars != other.num_vars:
-            raise ValueError("num_vars mismatch")
-        return Polynomial.from_terms(self.num_vars, list(self.terms) + list(other.terms))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.num_vars != other.num_vars:
-            raise ValueError("num_vars mismatch")
-        prods = []
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                prods.append((tuple(x + y for x, y in zip(ea, eb)), ca * cb))
-        return Polynomial.from_terms(self.num_vars, prods)
-
-    def scale(self, factor: complex) -> "Polynomial":
-        return Polynomial.from_terms(
-            self.num_vars, [(e, c * factor) for e, c in self.terms]
-        )
-
-    def __neg__(self) -> "Polynomial":
-        return self.scale(-1.0)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+    @property
+    def _is_identity_map(self) -> bool:
+        return all(c == 0 for c in self.center) and all(s == 1.0 for s in self.scale)
 
     def evaluate(self, x) -> complex:
         return complex(self.evaluate_many(_as_points(x, self.num_vars))[0])
@@ -138,18 +138,10 @@ class Polynomial:
         n = pts.shape[0]
         if not self.terms:
             return np.zeros(n, dtype=complex)
-        max_deg = [0] * self.num_vars
-        for exps, _ in self.terms:
-            for i, e in enumerate(exps):
-                max_deg[i] = max(max_deg[i], e)
-        # power tables per variable, shape (max_deg+1, N)
-        pows = []
-        for i in range(self.num_vars):
-            table = np.empty((max_deg[i] + 1, n), dtype=complex)
-            table[0] = 1.0
-            for k in range(1, max_deg[i] + 1):
-                table[k] = table[k - 1] * pts[:, i]
-            pows.append(table)
+        if not self._is_identity_map:
+            pts = (pts - np.asarray(self.center)) / np.asarray(self.scale)
+        max_deg = [max(exps[i] for exps, _ in self.terms) for i in range(self.num_vars)]
+        pows = power_tables(pts, max_deg)
         out = np.zeros(n, dtype=complex)
         for exps, coeff in self.terms:
             mono = np.full(n, coeff, dtype=complex)
@@ -160,16 +152,24 @@ class Polynomial:
         return out
 
     def to_json(self) -> dict:
-        return {
+        out = {
             "m": self.num_vars,
             "terms": [[list(e), [c.real, c.imag]] for e, c in self.terms],
         }
+        if not self._is_identity_map:
+            out["center"] = [[c.real, c.imag] for c in self.center]
+            out["scale"] = list(self.scale)
+        return out
 
     @staticmethod
     def from_json(data: dict) -> "Polynomial":
+        """Inverse of to_json; raises ValueError on a malformed affine map."""
+        center = [complex(c[0], c[1]) for c in data.get("center", ())]
         return Polynomial.from_terms(
             int(data["m"]),
             [(tuple(e), complex(c[0], c[1])) for e, c in data["terms"]],
+            center,
+            data.get("scale", ()),
         )
 
 

@@ -2,9 +2,11 @@
 compact, and the scalar geometric-rate analyzer built on it.
 
 The minimax solve is Lawson's iteratively reweighted least squares on the
-monomial basis with coordinates affinely rescaled to the unit box; the plain
-least-squares fit is kept as a cheap upper bound on the discrete minimax
-error, which is all a rate argument needs.
+monomial basis in the coordinates w = (z - center) / scale that place the
+samples in the unit box.  The returned Polynomial keeps that affine map and
+the coefficients solved for, so a translated or rescaled compact gives the
+same approximation error; the plain least-squares fit is kept as a cheap
+upper bound on the discrete minimax error, which is all a rate argument needs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import Polynomial
+from .algebra import Polynomial, power_tables
 from .sets_metrics import RateFit, SampledCompact, fit_geometric_rate
 
 __all__ = ["ApproxResult", "best_approx", "scalar_bws_rate", "basis_dimension"]
@@ -57,49 +59,16 @@ def _affine_maps(pts: np.ndarray):
 
 
 def _vandermonde(w: np.ndarray, exponents) -> np.ndarray:
-    n, m = w.shape
     max_deg = max((max(e) for e in exponents), default=0)
-    pows = []
-    for i in range(m):
-        table = np.empty((max_deg + 1, n), dtype=w.dtype)
-        table[0] = 1.0
-        for k in range(1, max_deg + 1):
-            table[k] = table[k - 1] * w[:, i]
-        pows.append(table)
+    pows = power_tables(w, [max_deg] * w.shape[1])
     cols = []
     for e in exponents:
-        col = np.ones(n, dtype=w.dtype)
+        col = np.ones(w.shape[0], dtype=w.dtype)
         for i, k in enumerate(e):
             if k:
                 col = col * pows[i][k]
         cols.append(col)
     return np.column_stack(cols)
-
-
-def _poly_from_scaled_coeffs(coeffs, exponents, centers, scales, m) -> Polynomial:
-    """Expand sum c_e * prod((z_i - c_i)/s_i)^e_i into plain monomials."""
-    if np.all(centers == 0) and np.all(scales == 1.0):
-        return Polynomial.from_terms(m, [(e, c) for e, c in zip(exponents, coeffs) if c != 0])
-    lin = [Polynomial.from_terms(m, [((0,) * m, -centers[i] / scales[i]),
-                                     (tuple(1 if j == i else 0 for j in range(m)), 1.0 / scales[i])])
-           for i in range(m)]
-    max_deg = max((max(e) for e in exponents), default=0)
-    powers = []
-    for i in range(m):
-        row = [Polynomial.constant(m, 1.0)]
-        for _ in range(max_deg):
-            row.append(row[-1] * lin[i])
-        powers.append(row)
-    out = Polynomial.zero(m)
-    for e, c in zip(exponents, coeffs):
-        if c == 0:
-            continue
-        mono = Polynomial.constant(m, c)
-        for i, k in enumerate(e):
-            if k:
-                mono = mono * powers[i][k]
-        out = out + mono
-    return out
 
 
 @dataclass(frozen=True)
@@ -125,6 +94,11 @@ def best_approx(f_samples, points, d: int, mode: str = "minimax") -> ApproxResul
     squares until the weighted residual moduli equioscillate to 1e-3 relative
     (capped at 200 iterations, keeping the best iterate); least-squares mode
     returns the plain fit, an upper bound on the discrete minimax error.
+
+    The fit runs in the per-coordinate unit-box coordinates of the samples,
+    and the returned polynomial carries that center and scale with the
+    solved coefficients; its error is recomputed by evaluating it on the
+    samples.
     """
     pts = points.points if isinstance(points, SampledCompact) else np.atleast_2d(
         np.asarray(points, dtype=complex)
@@ -186,7 +160,7 @@ def best_approx(f_samples, points, d: int, mode: str = "minimax") -> ApproxResul
                 if osc <= LAWSON_OSC_TOL:
                     break
 
-    poly = _poly_from_scaled_coeffs(best_coeffs, exponents, centers, scales, m)
+    poly = Polynomial.from_terms(m, zip(exponents, best_coeffs), centers, scales)
     err = float(np.abs(f - poly.evaluate_many(pts)).max())
     return ApproxResult(poly=poly, error=err, method=mode, iterations=iterations, rank=int(rank))
 

@@ -44,8 +44,7 @@ _FIELDS_COMMON = {"command", "out_dir", "tol", "seed"}
 _FIELDS_BY_COMMAND = {
     "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range", "mode",
                 "store_multigraphs"},
-    "converse": {"from_forward", "multigraph_paths", "limit_path", "n", "x0_index",
-                 "shape", "samples", "fiber_degree", "coefficients", "d_range", "mode"},
+    "converse": {"from_forward", "multigraph_paths", "limit_path", "n", "x0_index"},
     "scalar-bws": {"shape", "samples", "function", "d_range", "mode"},
     "counterexample": {"k_max", "mesh"},
     "closure-demo": {"nu_list", "box_height"},
@@ -164,7 +163,7 @@ def _parse_pseudopolynomial(cfg: ExperimentConfig) -> Pseudopolynomial:
         )
     try:
         coeffs = tuple(expr_from_json(c) for c in cfg.coefficients)
-    except ValueError as exc:
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ConfigError(f"field 'coefficients' is invalid: {exc}") from exc
     return Pseudopolynomial(cfg.fiber_degree, coeffs)
 
@@ -261,7 +260,13 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
             "converse needs either field 'from_forward' or fields "
             "'multigraph_paths' + 'limit_path'"
         )
-    result = converse_experiment(w_seq, base, n, limit=limit, x0_index=cfg.x0_index,
+    x0 = cfg.x0_index
+    if x0 is not None and not (isinstance(x0, int) and 0 <= x0 < base.count):
+        raise ConfigError(
+            f"field 'x0_index' must lie in [0, {base.count}), the base sample's "
+            f"index range, got {x0!r}"
+        )
+    result = converse_experiment(w_seq, base, n, limit=limit, x0_index=x0,
                                  d_values=d_values, solver_tol=cfg.tol)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(n)]
     rows = [[d, *[float(e) for e in result.coeff_errors[i]]] for i, d in enumerate(result.d_values)]

@@ -22,6 +22,7 @@ from .sets_metrics import (
     SampledCompact,
     fiber_profile,
     fit_geometric_rate,
+    tail_start,
 )
 
 __all__ = [
@@ -132,11 +133,7 @@ def detect_covering_number(w_seq, n_expected: int, x0_index: int,
     for w in w_seq:
         fib = w.fibers[x0_index]
         ok.append(bool(all(np.abs(fib - t).min() <= radius for t in distinct)))
-    start = None
-    if ok and ok[-1]:
-        start = len(ok) - 1
-        while start > 0 and ok[start - 1]:
-            start -= 1
+    start = tail_start(ok)
     if start is None or start > len(ok) // 2:
         raise CoveringNumberError(
             f"disc-separation test failed at sample {x0_index}: the sequence tail "

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Polynomial, Pseudopolynomial, assembled_degree_bound
+from .algebra import Pseudopolynomial, assembled_degree_bound
 from .chebyshev import best_approx
 from .roots import min_gaps, solve_monic_batch
 from .sets_metrics import (
@@ -61,24 +61,16 @@ def approximate_hypersurface(F: Pseudopolynomial, K: SampledCompact, d: int,
     return tuple(polys), tuple(errors)
 
 
-def _coefficient_matrix(family, K: SampledCompact) -> np.ndarray:
-    if isinstance(family, Pseudopolynomial):
-        return family.coefficients_at(K.points)
-    mat = np.empty((K.count, len(family)), dtype=complex)
-    for j, poly in enumerate(family):
-        mat[:, j] = poly.evaluate_many(K.points)
-    return mat
+def sample_multigraph(F: Pseudopolynomial, K: SampledCompact, tol: float = SOLVER_TOL) -> Multigraph:
+    """Zero multigraph of the monic pseudopolynomial F sampled over K.
 
-
-def sample_multigraph(family, K: SampledCompact, tol: float = SOLVER_TOL) -> Multigraph:
-    """Zero multigraph of a monic coefficient family sampled over K.
-
-    family is either a Pseudopolynomial or a sequence of n coefficient
-    Polynomials.  Fibers carry multiplicity.  Sample points where the solver
+    The forward pipeline passes both the target and each degree-d
+    approximant (a Pseudopolynomial of coefficient Polynomials) through this
+    one path.  Fibers carry multiplicity.  Sample points where the solver
     fails to converge are flagged and kept with their best iterate; callers
     exclude them from any sup with a warning rather than aborting.
     """
-    coeffs = _coefficient_matrix(family, K)
+    coeffs = F.coefficients_at(K.points)
     roots, _res, _it, _tol, ok = solve_monic_batch(coeffs, tol)
     flagged = tuple(int(i) for i in np.nonzero(~ok)[0])
     if flagged:
@@ -147,7 +139,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
 
     def run_degree(d: int):
         polys, errors = approximate_hypersurface(F, K, d, mode=mode)
-        approx_mg = sample_multigraph(polys, K, tol)
+        approx_mg = sample_multigraph(Pseudopolynomial(F.n, polys), K, tol)
         keep = ~np.isin(np.arange(K.count), target.flagged + approx_mg.flagged)
         if not keep.any():
             raise RuntimeError(f"all sample points flagged at degree {d}")

@@ -117,7 +117,9 @@ class SampledCompact:
         if raw.size == 0:
             pts = np.zeros((0, m), dtype=complex)
         else:
-            pts = raw[:, :m] + 1j * raw[:, m:]
+            # assign the parts: re + 1j*im would turn a -0.0 part into +0.0
+            pts = np.empty((raw.shape[0], m), dtype=complex)
+            pts.real, pts.imag = raw[:, :m], raw[:, m:]
         shape = shape_from_json(data["shape"]) if data.get("shape") else None
         return SampledCompact(pts, mesh=float(data["mesh"]),
                               ambient_diam=data.get("ambient_diam"), shape=shape)
@@ -283,7 +285,7 @@ class KuratowskiReport:
     witness_min_dist: tuple
 
 
-def _tail_start(flags) -> int | None:
+def tail_start(flags) -> int | None:
     """First index from which all flags hold, or None if the last fails."""
     if not flags or not flags[-1]:
         return None
@@ -309,7 +311,7 @@ def kuratowski_check(seq, limit: SampledCompact, tol: float, witnesses=()) -> Ku
         s_re = _to_real(s.points)
         sup_dists.append(_directed(lim_re, s_re))
     ok1 = [d <= tol for d in sup_dists]
-    nu0 = _tail_start(ok1)
+    nu0 = tail_start(ok1)
     half = len(seq) // 2
     cond1 = nu0 is not None and nu0 <= half
 
@@ -324,7 +326,7 @@ def kuratowski_check(seq, limit: SampledCompact, tol: float, witnesses=()) -> Ku
             mins.append(float(np.min(d)))
         witness_mins.append(tuple(mins))
         okw = [d > tol for d in mins]
-        start = _tail_start(okw)
+        start = tail_start(okw)
         cond2 = cond2 and start is not None and start <= half
     return KuratowskiReport(cond1, cond2, nu0, tuple(sup_dists), tuple(witness_mins))
 

@@ -1,3 +1,5 @@
+import json
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from hyperapprox.roots import match_roots, solve_monic
 
 
 def test_eval_constant_one():
-    p = Polynomial.constant(3, 1.0)
+    p = Polynomial.from_terms(3, [((0, 0, 0), 1.0)])
     assert p.evaluate([0.3, -1j, 2.0]) == 1.0
 
 
@@ -37,14 +39,14 @@ def test_eval_root_by_construction():
 
 
 def test_eval_dimension_mismatch():
-    p = Polynomial.coordinate(2, 0)
+    p = Polynomial.from_terms(2, [((1, 0), 1.0)])
     with pytest.raises(ValueError):
         p.evaluate([1.0, 2.0, 3.0])
 
 
 def test_zero_polynomial_degree_sentinel():
-    assert Polynomial.zero(2).degree == -1
-    assert Polynomial.constant(2, 5.0).degree == 0
+    assert Polynomial(2).degree == -1
+    assert Polynomial.from_terms(2, [((0, 0), 5.0)]).degree == 0
 
 
 def test_no_zero_terms_stored():
@@ -99,9 +101,8 @@ def test_product_of_linear_factors_eval():
     for _ in range(10):
         cs = rng.uniform(-10, 10, 4) + 1j * rng.uniform(-10, 10, 4)
         factors = [Polynomial.from_coeffs_1d([c, 1.0]) for c in cs]
-        prod = factors[0]
-        for f in factors[1:]:
-            prod = prod * f
+        # prod (t + c) is the monic polynomial with roots -c
+        prod = Polynomial.from_coeffs_1d([*vieta_from_roots(-cs)[::-1], 1.0])
         x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         direct = np.prod([f.evaluate(x) for f in factors])
         assert abs(prod.evaluate(x) - direct) <= 1e-12 * max(1.0, abs(direct))
@@ -173,3 +174,39 @@ def test_poly_expr_round_trip():
     again = expr_from_json(node)
     assert isinstance(again, PolyExpr)
     assert again.poly == p
+
+
+def test_affine_map_evaluates_in_its_coordinates():
+    # ((x - 3) / 2)^2 + 1j * (y + 1j)
+    p = Polynomial.from_terms(2, [((2, 0), 1.0), ((0, 1), 1j)], center=[3.0, -1j], scale=[2.0, 1.0])
+    x, y = 5.0 + 1j, 0.5
+    assert p.evaluate([x, y]) == pytest.approx(((x - 3.0) / 2.0) ** 2 + 1j * (y + 1j), abs=1e-15)
+    assert p.center == (3 + 0j, -1j) and p.scale == (2.0, 1.0)
+    assert Polynomial(2).center == (0j, 0j) and Polynomial(2).scale == (1.0, 1.0)
+
+
+def test_polynomial_json_affine_map_round_trip():
+    p = Polynomial.from_terms(1, [((1,), 2.0), ((3,), -0.5j)], center=[10.0 - 2j], scale=[0.25])
+    data = json.loads(json.dumps(p.to_json()))
+    assert data["center"] == [[10.0, -2.0]] and data["scale"] == [0.25]
+    again = Polynomial.from_json(data)
+    assert again == p
+    pts = np.array([[9.5 + 0.1j], [10.25 - 2j]])
+    assert np.array_equal(again.evaluate_many(pts), p.evaluate_many(pts))
+    # the identity map is not written, so plain polynomials keep their JSON
+    assert set(Polynomial.from_coeffs_1d([1.0, 2.0]).to_json()) == {"m", "terms"}
+
+
+@pytest.mark.parametrize("extra", [
+    {"scale": [1.0, 2.0]},  # one entry per variable, and m = 1
+    {"center": [[1.0, 0.0], [2.0, 0.0]]},
+    {"scale": [0.0]},
+    {"scale": [-1.0]},
+    {"scale": [float("inf")]},
+    {"scale": [float("nan")]},
+    {"center": [[float("nan"), 0.0]]},
+])
+def test_polynomial_json_rejects_bad_affine_map(extra):
+    data = dict(Polynomial.from_coeffs_1d([1.0, 2.0]).to_json(), **extra)
+    with pytest.raises(ValueError):
+        Polynomial.from_json(data)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperapprox.chebyshev import basis_dimension, best_approx, scalar_bws_rate
-from hyperapprox.sets_metrics import sample_box, sample_segment
+from hyperapprox.sets_metrics import SampledCompact, sample_box, sample_segment
 from tests.oracles import exp_cheb_tail, grid_minimax_constant
 
 
@@ -100,3 +102,61 @@ def test_scalar_rate_polynomial_floor(segment_401):
 def test_scalar_rate_needs_six_degrees(segment_401):
     with pytest.raises(ValueError):
         scalar_bws_rate(np.ones(segment_401.count), segment_401, [1, 2, 3])
+
+
+# functions of the unit coordinates w, analytic near the unit segment or box
+_UNIT_FUNCTIONS = {
+    "segment": (
+        lambda w: np.exp(w[:, 0]),
+        lambda w: 1.0 / (w[:, 0] - 1.5),
+        lambda w: np.cos(3.0 * w[:, 0]) + 1j * w[:, 0] ** 2,
+    ),
+    "box": (
+        lambda w: np.exp(w[:, 0] + 0.5 * w[:, 1]),
+        lambda w: 1.0 / (2.0 - w[:, 0] * w[:, 1]),
+    ),
+}
+_UNIT_SAMPLES = {
+    "segment": sample_segment(-1.0, 1.0, 101),
+    "box": sample_box([(-1.0, 1.0), (-1.0, 1.0)], per_axis=11),
+}
+
+
+@st.composite
+def _affine_case(draw):
+    shape = draw(st.sampled_from(["segment", "box"]))
+    m = 1 if shape == "segment" else 2
+    coord = st.floats(-20.0, 20.0, allow_nan=False)
+    # segments may sit anywhere in C; boxes stay real
+    center = [complex(draw(coord), draw(coord) if shape == "segment" else 0.0) for _ in range(m)]
+    scale = [draw(st.floats(0.05, 5.0)) for _ in range(m)]
+    fn = draw(st.integers(0, len(_UNIT_FUNCTIONS[shape]) - 1))
+    d = draw(st.integers(0, 14 if shape == "segment" else 6))
+    mode = draw(st.sampled_from(["minimax", "least-squares"]))
+    return shape, np.array(center), np.array(scale), fn, d, mode
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(_affine_case())
+def test_error_invariant_under_affine_maps(case):
+    # the same function values on an affine image of the unit sample give
+    # the same approximation error as on the unit sample itself
+    shape, center, scale, fn, d, mode = case
+    unit = _UNIT_SAMPLES[shape]
+    f = _UNIT_FUNCTIONS[shape][fn](unit.points)
+    K = SampledCompact(center + scale * unit.points, mesh=unit.mesh * scale.max())
+    want = best_approx(f, unit, d, mode=mode).error
+    got = best_approx(f, K, d, mode=mode)
+    assert abs(got.error - want) <= max(1e-6 * want, 1e-12)
+    assert np.allclose(got.poly.center, center, rtol=0, atol=1e-12 * (1 + np.abs(center)))
+    assert np.allclose(got.poly.scale, scale, rtol=1e-12)
+
+
+def test_translated_segment_keeps_its_map():
+    K = sample_segment(9.0, 11.0, 401)
+    x = K.points[:, 0]
+    res = best_approx(np.exp(x - 10.0), K, 20)
+    assert res.error <= 1e-13
+    assert res.poly.center == (10.0 + 0j,) and res.poly.scale == (1.0,)
+    # the error is that of the returned polynomial
+    assert res.error == np.abs(np.exp(x - 10.0) - res.poly.evaluate_many(K.points)).max()

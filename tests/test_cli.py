@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hyperapprox.cli import ConfigError, ExperimentConfig, main, run
@@ -129,8 +130,6 @@ def test_converse_run_from_forward(tmp_path):
 
 
 def test_converse_run_from_multigraph_files(tmp_path):
-    import numpy as np
-
     from hyperapprox.algebra import Const, Polynomial, Pseudopolynomial
     from hyperapprox.forward import forward_rate_experiment
     from hyperapprox.sets_metrics import Multigraph, sample_segment
@@ -215,3 +214,73 @@ def test_converse_malformed_multigraph_file_exit_2(tmp_path, capsys):
     cfg = {"command": "converse", "multigraph_paths": [str(bad_path)], "limit_path": str(limit_path)}
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     assert str(bad_path) in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def forward_results(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fwd")
+    assert run(ExperimentConfig.from_json(FORWARD_CFG), str(out)) == 0
+    return str(out / "results.json")
+
+
+@pytest.mark.parametrize("x0_index", [500, -1])
+def test_converse_x0_index_outside_base_exits_2(forward_results, tmp_path, capsys, x0_index):
+    cfg = {"command": "converse", "from_forward": forward_results, "x0_index": x0_index}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "x0_index" in capsys.readouterr().err
+
+
+def test_converse_rejects_forward_fields(forward_results, tmp_path, capsys):
+    cfg = {"command": "converse", "from_forward": forward_results, "mode": "bogus", "samples": 3}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unknown field" in capsys.readouterr().err
+    for field in ("shape", "samples", "fiber_degree", "coefficients", "d_range", "mode"):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig.from_json({"command": "converse", "from_forward": "x", field: None})
+
+
+def test_poly_coefficient_with_bad_scale_exits_2(tmp_path, capsys):
+    poly = {"m": 1, "terms": [[[1], [1.0, 0.0]]], "center": [[10.0, 0.0]], "scale": [0.0]}
+    cfg = dict(FORWARD_CFG, coefficients=[{"op": "const", "args": [0.0, 0.0]},
+                                          {"op": "poly", "args": [poly]}])
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "coefficients" in capsys.readouterr().err
+
+
+def _exp_config(a: float, b: float) -> dict:
+    """Forward t^2 - exp(x - c) on 401 points of [a, b], c the midpoint, d = 2..20."""
+    shifted = {"op": "add", "args": [{"op": "coord", "args": [0]},
+                                     {"op": "const", "args": [-(a + b) / 2.0, 0.0]}]}
+    return dict(FORWARD_CFG, shape={"kind": "segment", "a": [a, 0.0], "b": [b, 0.0]},
+                samples=401, d_range=[2, 20],
+                coefficients=[{"op": "const", "args": [0.0, 0.0]},
+                              {"op": "neg", "args": [{"op": "exp", "args": [shifted]}]}])
+
+
+def test_translated_segment_matches_unit_segment(tmp_path):
+    from hyperapprox.algebra import Pseudopolynomial
+
+    runs = {}
+    for a, b in ((-1.0, 1.0), (9.0, 11.0)):
+        fwd, conv = tmp_path / f"fwd{a}", tmp_path / f"conv{a}"
+        assert main(["run", _write_cfg(tmp_path, _exp_config(a, b)), "--out", str(fwd)]) == 0
+        cfg = {"command": "converse", "from_forward": str(fwd / "results.json")}
+        assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(conv)]) == 0
+        runs[a] = [json.loads((d / "results.json").read_text()) for d in (fwd, conv)]
+    (fwd_u, conv_u), (fwd_t, conv_t) = runs[-1.0], runs[9.0]
+    assert fwd_t["fits"]["delta"]["verdict"] == "geometric"
+    assert conv_t["verdict"] == "holomorphic-witness"
+    thetas = [
+        (fwd["fits"]["delta"]["theta"], *[f["theta"] for f in fwd["fits"]["coefficients"]],
+         *[f["theta"] for f in conv["coefficient_fits"]])
+        for fwd, conv in ((fwd_u, conv_u), (fwd_t, conv_t))
+    ]
+    assert thetas[0] == pytest.approx(thetas[1], abs=1e-3)
+    assert abs(thetas[1][0] - 0.0735) <= 1e-3
+    # the reconstructed witness loads back as a pseudopolynomial and
+    # evaluates, on the translated base, to the unit run's values
+    x = np.array(fwd_t["target_multigraph"]["points"])[:, :1]
+    coeffs_t = Pseudopolynomial.from_json(conv_t["reconstructed"]).coefficients_at(x)
+    coeffs_u = Pseudopolynomial.from_json(conv_u["reconstructed"]).coefficients_at(x - 10.0)
+    assert np.abs(coeffs_t - coeffs_u).max() <= 1e-10
+    assert np.abs(coeffs_t[:, 1] + np.exp(x[:, 0] - 10.0)).max() <= 1e-10

@@ -286,11 +286,15 @@ def test_multigraph_json_round_trip():
 def test_fiber_codec_round_trip_is_exact():
     fibers = np.array([[complex(1.0, -0.0), -1.0], [complex(0.5, -0.0), complex(2.0, 1e-300)]])
     assert np.signbit(fibers.imag).tolist() == [[True, False], [True, False]]
-    y = _mg([0.0, 1.0], fibers, 2)
+    # base points with -0.0 parts take the SampledCompact codec's path
+    y = _mg([complex(-0.0, -0.0), complex(1.0, -0.0)], fibers, 2)
     first = y.to_json()
     again = Multigraph.from_json(json.loads(json.dumps(first)))
     assert json.dumps(again.to_json()) == json.dumps(first)
     assert np.signbit(again.fibers.imag).tolist() == [[True, False], [True, False]]
+    pts = again.base.points[:, 0]
+    assert np.signbit(pts.real).tolist() == [True, False]
+    assert np.signbit(pts.imag).tolist() == [True, True]
     assert np.array_equal(fibers_from_json(fibers_to_json(fibers)), fibers)
 
 
