@@ -190,10 +190,6 @@ class Expr:
     def eval_many(self, pts: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
-    def evaluate(self, x, m: int | None = None) -> complex:
-        pts = np.atleast_2d(np.asarray(x, dtype=complex))
-        return complex(self.eval_many(pts)[0])
-
     def to_json(self) -> dict:  # pragma: no cover
         raise NotImplementedError
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Polynomial, power_tables
-from .sets_metrics import RateFit, SampledCompact, fit_geometric_rate
+from .sets_metrics import RATE_FLOOR, RateFit, SampledCompact, degree_list, fit_geometric_rate
 
 __all__ = ["ApproxResult", "best_approx", "scalar_bws_rate", "basis_dimension"]
 
@@ -165,17 +165,13 @@ def best_approx(f_samples, points, d: int, mode: str = "minimax") -> ApproxResul
     return ApproxResult(poly=poly, error=err, method=mode, iterations=iterations, rank=int(rank))
 
 
-def scalar_bws_rate(f_samples, K: SampledCompact, d_range, mode: str = "minimax",
-                    floor: float | None = None) -> RateFit:
-    """Geometric-rate fit of the best-approximation errors over a degree range.
+def scalar_bws_rate(f_samples, K: SampledCompact, d_range,
+                    floor: float = RATE_FLOOR) -> tuple[list, RateFit]:
+    """Geometric-rate fit of the minimax approximation errors over a degree range.
 
-    A geometric verdict is the numerical witness that the d-th roots of the
-    approximation errors stay below 1; the range must span at least 6 degrees.
+    Returns the (d, error) pairs in increasing degree and their fit.  A
+    geometric verdict is the numerical witness that the d-th roots of the
+    errors stay below 1; the range must span at least 6 distinct degrees.
     """
-    d_list = sorted(set(int(d) for d in d_range))
-    if len(d_list) < 6:
-        raise ValueError("degree range must span at least 6 degrees")
-    errors = [(d, best_approx(f_samples, K, d, mode=mode).error) for d in d_list]
-    if floor is None:
-        return fit_geometric_rate(errors)
-    return fit_geometric_rate(errors, floor=floor)
+    errors = [(d, best_approx(f_samples, K, d).error) for d in degree_list(d_range)]
+    return errors, fit_geometric_rate(errors, floor=floor)

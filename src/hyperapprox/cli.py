@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import Pseudopolynomial, expr_from_json
-from .chebyshev import best_approx
+from .chebyshev import scalar_bws_rate
 from .converse import converse_experiment
 from .demos import closure_failure_demo, counterexample_rates
 from .extremal import continuity_probe, shape_from_json
@@ -27,6 +27,7 @@ from .forward import forward_rate_experiment
 from .sets_metrics import (
     Multigraph,
     SampledCompact,
+    degree_list,
     fibers_from_json,
     fibers_to_json,
     fit_geometric_rate,
@@ -40,12 +41,11 @@ __all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
 
 COMMANDS = ("forward", "converse", "scalar-bws", "counterexample", "closure-demo", "extremal")
 
-_FIELDS_COMMON = {"command", "out_dir", "tol", "seed"}
+_FIELDS_COMMON = {"command", "out_dir", "tol"}
 _FIELDS_BY_COMMAND = {
-    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range", "mode",
-                "store_multigraphs"},
-    "converse": {"from_forward", "multigraph_paths", "limit_path", "n", "x0_index"},
-    "scalar-bws": {"shape", "samples", "function", "d_range", "mode"},
+    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range", "store_multigraphs"},
+    "converse": {"from_forward", "multigraph_paths", "limit_path", "x0_index"},
+    "scalar-bws": {"shape", "samples", "function", "d_range"},
     "counterexample": {"k_max", "mesh"},
     "closure-demo": {"nu_list", "box_height"},
     "extremal": {"shape", "grid_step", "h"},
@@ -61,14 +61,12 @@ class ExperimentConfig:
     command: str
     out_dir: str = "results"
     tol: float = 1e-12
-    seed: int = 0
     shape: dict | None = None
     samples: int = 401
     fiber_degree: int | None = None
     coefficients: list | None = None
     function: dict | None = None
     d_range: list | None = None
-    mode: str = "minimax"
     k_max: int | None = None
     mesh: float | None = None
     nu_list: list | None = None
@@ -78,7 +76,6 @@ class ExperimentConfig:
     from_forward: str | None = None
     multigraph_paths: list | None = None
     limit_path: str | None = None
-    n: int | None = None
     x0_index: int | None = None
     store_multigraphs: bool = True
 
@@ -120,13 +117,19 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _build_compact(cfg: ExperimentConfig) -> SampledCompact:
+def _parse_shape(cfg: ExperimentConfig):
     if cfg.shape is None:
         raise ConfigError("field 'shape' is required for this command")
     try:
-        shape = shape_from_json(cfg.shape)
+        return shape_from_json(cfg.shape)
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"field 'shape' is invalid: {exc}") from exc
+
+
+def _build_compact(cfg: ExperimentConfig) -> SampledCompact:
+    shape = _parse_shape(cfg)
+    if type(cfg.samples) is not int or cfg.samples < 2:
+        raise ConfigError(f"field 'samples' must be an integer >= 2, got {cfg.samples!r}")
     kind = cfg.shape["kind"]
     if kind == "segment":
         return sample_segment(shape.a, shape.b, cfg.samples)
@@ -168,18 +171,22 @@ def _parse_pseudopolynomial(cfg: ExperimentConfig) -> Pseudopolynomial:
     return Pseudopolynomial(cfg.fiber_degree, coeffs)
 
 
-def _d_list(cfg: ExperimentConfig):
-    if cfg.d_range is None:
-        raise ConfigError("field 'd_range' is required")
-    if len(cfg.d_range) == 2 and cfg.d_range[0] < cfg.d_range[1]:
-        return list(range(int(cfg.d_range[0]), int(cfg.d_range[1]) + 1))
-    return [int(d) for d in cfg.d_range]
+def _d_list(cfg: ExperimentConfig, top_at_least: int = 0) -> list:
+    d = cfg.d_range
+    if type(d) is not list or any(type(x) is not int or x < 0 for x in d):
+        raise ConfigError(f"field 'd_range' must list nonnegative integer degrees, got {d!r}")
+    if len(d) == 2 and d[0] < d[1]:
+        d = range(d[0], d[1] + 1)
+    try:
+        return degree_list(d, top_at_least)
+    except ValueError as exc:
+        raise ConfigError(f"field 'd_range' is invalid: {exc}") from exc
 
 
 def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
     K = _build_compact(cfg)
     F = _parse_pseudopolynomial(cfg)
-    exp = forward_rate_experiment(F, K, _d_list(cfg), mode=cfg.mode, tol=cfg.tol)
+    exp = forward_rate_experiment(F, K, _d_list(cfg, top_at_least=F.n), tol=cfg.tol)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(F.n)] + ["delta", "graph_dh"]
     rows = [[r.d, *[float(e) for e in r.coeff_errors], r.delta, r.graph_dh] for r in exp.records]
     _write_csv(out / "rates.csv", header, rows)
@@ -244,22 +251,22 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
             if "target_multigraph" not in data:
                 raise ConfigError("field 'from_forward' points at results without stored multigraphs")
             limit = Multigraph.from_json(data["target_multigraph"])
-            base = limit.base
-            n = limit.n
             entries = data["approximant_multigraphs"]
-            w_seq = [Multigraph(base, fibers_from_json(e["fibers"]), n) for e in entries]
+            w_seq = [Multigraph(limit.base, fibers_from_json(e["fibers"]), limit.n) for e in entries]
             d_values = [int(e["d"]) for e in entries]
     elif cfg.multigraph_paths and cfg.limit_path:
         limit = _read_multigraph(cfg.limit_path)
-        base = limit.base
         w_seq = [_read_multigraph(p) for p in cfg.multigraph_paths]
-        n = cfg.n if cfg.n is not None else limit.n
+        for path, w in zip(cfg.multigraph_paths, w_seq):
+            if w.n != limit.n or not np.array_equal(w.base.points, limit.base.points):
+                raise ConfigError(f"input file {path} must share limit_path's base and n = {limit.n}")
         d_values = list(range(1, len(w_seq) + 1))
     else:
         raise ConfigError(
             "converse needs either field 'from_forward' or fields "
             "'multigraph_paths' + 'limit_path'"
         )
+    base, n = limit.base, limit.n
     x0 = cfg.x0_index
     if x0 is not None and not (isinstance(x0, int) and 0 <= x0 < base.count):
         raise ConfigError(
@@ -303,10 +310,7 @@ def _run_scalar(cfg: ExperimentConfig, out: Path) -> int:
         fn = expr_from_json(cfg.function)
     except ValueError as exc:
         raise ConfigError(f"field 'function' is invalid: {exc}") from exc
-    samples = fn.eval_many(K.points)
-    d_list = _d_list(cfg)
-    errors = [(d, best_approx(samples, K, d, mode=cfg.mode).error) for d in d_list]
-    fit = fit_geometric_rate(errors)
+    errors, fit = scalar_bws_rate(fn.eval_many(K.points), K, _d_list(cfg))
     _write_csv(out / "rates.csv", ["d", "error"], [[d, e] for d, e in errors])
     _write_csv(out / "plot_data.csv", ["d", "log10_error"],
                [[d, math.log10(max(e, 1e-300))] for d, e in errors])
@@ -360,12 +364,7 @@ def _run_closure(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _run_extremal(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.shape is None:
-        raise ConfigError("field 'shape' is required")
-    try:
-        shape = shape_from_json(cfg.shape)
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ConfigError(f"field 'shape' is invalid: {exc}") from exc
+    shape = _parse_shape(cfg)
     step = cfg.grid_step if cfg.grid_step is not None else 0.05
     h = cfg.h if cfg.h is not None else 2.5 * step
     if shape.dim != 1:
@@ -426,8 +425,6 @@ def main(argv=None) -> int:
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
     runp.add_argument("--mesh", type=float, default=None, help="override the config mesh")
     runp.add_argument("--tol", type=float, default=None, help="override the solver tolerance")
-    runp.add_argument("--seed", type=int, default=None,
-                      help="seed for randomized property suites (core pipelines are deterministic)")
     args = parser.parse_args(argv)
 
     try:
@@ -435,7 +432,7 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for key, value in (("mesh", args.mesh), ("tol", args.tol), ("seed", args.seed)):
+    for key, value in (("mesh", args.mesh), ("tol", args.tol)):
         if value is not None:
             raw[key] = value
     try:

@@ -36,6 +36,11 @@ __all__ = [
 ]
 
 
+# near a multiple root the solver cannot resolve gaps below about the square
+# root of its relaxed tolerance, so closer fiber points count as one root
+SEPARATION_TOL = 1e-3
+
+
 class CoveringNumberError(ValueError):
     """A multigraph in the sequence violates the declared covering number."""
 
@@ -95,26 +100,25 @@ def _cluster_points(points: np.ndarray, tol: float) -> np.ndarray:
 
 
 def detect_covering_number(w_seq, n_expected: int, x0_index: int,
-                           target_fiber=None, separation_tol: float = 1e-3) -> int:
+                           target_fiber=None) -> int:
     """Verify the sequence has covering number n_expected, using a base point
     whose target fiber has n_expected distinct values.
 
-    Fiber points closer than separation_tol count as one root: near a
-    multiple root the solver cannot resolve gaps below roughly the square
-    root of its relaxed tolerance, so smaller gaps are numerical jitter.
-    The target fiber's points are separated by disjoint closed discs of
-    radius one third of their minimal gap (unbounded for a single point);
-    for every multigraph in the tail of the sequence, each disc must capture
-    at least one fiber point at the declared base point, while no multigraph
-    may carry more than n_expected points per fiber.  The tail must cover
-    at least the second half of the sequence.
+    Fiber points closer than SEPARATION_TOL (1e-3) count as one root.  The
+    target fiber (the last multigraph's fiber at x0_index when omitted) has
+    its points separated by disjoint closed discs of radius one third of
+    their minimal gap (unbounded for a single point); for every multigraph
+    in the tail of the sequence, each disc must capture at least one fiber
+    point at the declared base point, while no multigraph may carry more
+    than n_expected points per fiber.  The tail must cover at least the
+    second half of the sequence.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
     if target_fiber is None:
         target_fiber = w_seq[-1].fibers[x0_index]
     target_fiber = np.asarray(target_fiber, dtype=complex).ravel()
-    distinct = _cluster_points(target_fiber, separation_tol)
+    distinct = _cluster_points(target_fiber, SEPARATION_TOL)
     if distinct.size < n_expected:
         raise CoveringNumberError(
             f"target fiber at sample {x0_index} has only {distinct.size} separated "
@@ -174,15 +178,15 @@ class ConverseResult:
     theta_envelope_ok: bool
 
 
-def converse_experiment(w_seq, base: SampledCompact, n: int, delta_seq=None, *,
+def converse_experiment(w_seq, base: SampledCompact, n: int, *,
                         limit: Multigraph, x0_index: int | None = None,
                         d_values=None, solver_tol: float = 1e-12) -> ConverseResult:
     """Reconstruct coefficient data from a geometrically convergent sequence
     of algebraic multigraphs.
 
-    delta_seq are the observed fiberwise distances to the limit (computed
-    here when omitted); they must fit a geometric decay, otherwise the
-    hypothesis fails and no reconstruction is attempted.  The verdict is
+    The fiberwise distances of w_seq to the limit must fit a geometric decay
+    in d_values (1, 2, ... when omitted), otherwise the hypothesis fails and
+    no reconstruction is attempted.  The verdict is
     holomorphic-witness when every reconstructed coefficient's sup error
     decays geometrically; the witness itself is the coefficient polynomial
     family at the largest degree, whose successive differences are also
@@ -199,9 +203,7 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, delta_seq=None, *,
         d_values = tuple(range(1, len(w_seq) + 1))
     d_values = tuple(int(d) for d in d_values)
 
-    if delta_seq is None:
-        delta_seq = [fiber_profile(limit, w).max() for w in w_seq]
-    delta_pairs = list(zip(d_values, [float(x) for x in delta_seq]))
+    delta_pairs = [(d, float(fiber_profile(limit, w).max())) for d, w in zip(d_values, w_seq)]
     fit_floor = max(1e-13, 10.0 * solver_tol)
     delta_fit = fit_geometric_rate(delta_pairs, floor=fit_floor)
     if delta_fit.verdict != "geometric":

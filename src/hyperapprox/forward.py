@@ -18,6 +18,7 @@ from .sets_metrics import (
     Multigraph,
     RateFit,
     SampledCompact,
+    degree_list,
     fiber_profile,
     fit_geometric_rate,
     hausdorff,
@@ -41,13 +42,12 @@ def _require_standard(K: SampledCompact):
         )
 
 
-def approximate_hypersurface(F: Pseudopolynomial, K: SampledCompact, d: int,
-                             mode: str = "minimax"):
+def approximate_hypersurface(F: Pseudopolynomial, K: SampledCompact, d: int):
     """Degree-d coefficient polynomials (a_1,d .. a_n,d) approximating F on K.
 
-    Each coefficient is approximated independently on the K samples; the
-    assembled monic polynomial with these coefficients is the algebraic
-    approximant of the zero multigraph.  Returns (polys, sup_errors).
+    Each coefficient is minimax-approximated independently on the K
+    samples; the assembled monic polynomial with these coefficients is the
+    algebraic approximant of the zero multigraph.  Returns (polys, sup_errors).
     """
     _require_standard(K)
     if d < 0:
@@ -55,7 +55,7 @@ def approximate_hypersurface(F: Pseudopolynomial, K: SampledCompact, d: int,
     coeff_values = F.coefficients_at(K.points)
     polys, errors = [], []
     for j in range(F.n):
-        res = best_approx(coeff_values[:, j], K, d, mode=mode)
+        res = best_approx(coeff_values[:, j], K, d)
         polys.append(res.poly)
         errors.append(res.error)
     return tuple(polys), tuple(errors)
@@ -119,18 +119,14 @@ class ForwardExperiment:
 
 
 def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
-                            mode: str = "minimax", tol: float = SOLVER_TOL) -> ForwardExperiment:
+                            tol: float = SOLVER_TOL) -> ForwardExperiment:
     """Run the forward pipeline over a degree range and fit the decay rates.
 
-    Requires at least 6 degrees with max degree >= the fiber degree n.  The
-    rate fits mask entries below the solver resolution floor (10 * tol *
-    coefficient scale) since distances there measure rounding, not decay.
+    Requires at least 6 distinct degrees with max degree >= the fiber degree
+    n.  The rate fits mask entries below the solver resolution floor (10 *
+    tol * coefficient scale) since distances there measure rounding, not decay.
     """
-    d_list = sorted(set(int(d) for d in d_range))
-    if len(d_list) < 6:
-        raise ValueError("degree range must span at least 6 degrees")
-    if d_list[-1] < F.n:
-        raise ValueError("max degree must be at least the fiber degree n")
+    d_list = degree_list(d_range, F.n)
     _require_standard(K)
 
     target = sample_multigraph(F, K, tol)
@@ -138,7 +134,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
     fit_floor = max(1e-13, 10.0 * tol * coeff_scale)
 
     def run_degree(d: int):
-        polys, errors = approximate_hypersurface(F, K, d, mode=mode)
+        polys, errors = approximate_hypersurface(F, K, d)
         approx_mg = sample_multigraph(Pseudopolynomial(F.n, polys), K, tol)
         keep = ~np.isin(np.arange(K.count), target.flagged + approx_mg.flagged)
         if not keep.any():

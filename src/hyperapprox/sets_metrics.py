@@ -295,6 +295,16 @@ def tail_start(flags) -> int | None:
     return idx
 
 
+def degree_list(d_range, top_at_least: int = 0) -> list:
+    """Sorted distinct degrees: at least 6 for a rate fit, the last >= top_at_least."""
+    d_list = sorted(set(int(d) for d in d_range))
+    if len(d_list) < 6:
+        raise ValueError("degree range must span at least 6 degrees")
+    if d_list[-1] < top_at_least:
+        raise ValueError(f"max degree must be at least {top_at_least}")
+    return d_list
+
+
 def kuratowski_check(seq, limit: SampledCompact, tol: float, witnesses=()) -> KuratowskiReport:
     """Check sampled Kuratowski convergence of seq toward limit.
 

@@ -127,8 +127,7 @@ def test_criterion_05_converse_round_trip(forward_exp_experiment, segment_401):
     t0 = time.perf_counter()
     w_seq = [Multigraph(segment_401, r.fibers, 2) for r in exp.records]
     res = converse_experiment(
-        w_seq, segment_401, 2, [r.delta for r in exp.records],
-        limit=exp.target, d_values=[r.d for r in exp.records],
+        w_seq, segment_401, 2, limit=exp.target, d_values=[r.d for r in exp.records],
     )
     target = -np.exp(segment_401.points[:, 0])
     a2_samples = np.array([np.prod(f) for f in w_seq[-1].fibers])  # a_2 = t_1 t_2
@@ -204,8 +203,8 @@ def test_criterion_09_scalar_dichotomy():
     t0 = time.perf_counter()
     K = sample_segment(-1.0, 1.0, 801)
     x = K.points[:, 0]
-    fit_exp = scalar_bws_rate(np.exp(x), K, range(0, 16))
-    fit_abs = scalar_bws_rate(np.abs(x), K, range(20, 61, 2))
+    _, fit_exp = scalar_bws_rate(np.exp(x), K, range(0, 16))
+    _, fit_abs = scalar_bws_rate(np.abs(x), K, range(20, 61, 2))
     elapsed = time.perf_counter() - t0
     ok = (fit_exp.verdict == "geometric" and fit_exp.theta < 0.5
           and fit_abs.verdict == "not-geometric" and fit_abs.theta >= 0.97

@@ -70,7 +70,9 @@ def test_two_variable_fit():
 
 def test_scalar_rate_exp_geometric(segment_401):
     f = np.exp(segment_401.points[:, 0])
-    fit = scalar_bws_rate(f, segment_401, range(0, 16))
+    errors, fit = scalar_bws_rate(f, segment_401, range(15, -1, -1))
+    assert [d for d, _ in errors] == list(range(16))
+    assert errors[5][1] == best_approx(f, segment_401, 5).error
     assert fit.verdict == "geometric"
     assert fit.theta < 0.5
 
@@ -87,14 +89,14 @@ def test_scalar_rate_exp_cross_checked_against_chebyshev_series(segment_401):
 
 def test_scalar_rate_abs_not_geometric(segment_401):
     f = np.abs(segment_401.points[:, 0])
-    fit = scalar_bws_rate(f, segment_401, range(0, 31, 2))
+    _, fit = scalar_bws_rate(f, segment_401, range(0, 31, 2))
     assert fit.verdict == "not-geometric"
 
 
 def test_scalar_rate_polynomial_floor(segment_401):
     x = segment_401.points[:, 0]
     f = x ** 2 - 0.25
-    fit = scalar_bws_rate(f, segment_401, range(2, 9), floor=1e-10)
+    _, fit = scalar_bws_rate(f, segment_401, range(2, 9), floor=1e-10)
     assert fit.verdict == "geometric"
     assert fit.theta == 0.0
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -39,6 +40,63 @@ def test_config_rejects_unknown_field():
 def test_config_rejects_unknown_command():
     with pytest.raises(ConfigError, match="command"):
         ExperimentConfig.from_json({"command": "frobnicate"})
+
+
+def test_config_fields_match_command_field_sets():
+    from dataclasses import fields
+
+    from hyperapprox.cli import _FIELDS_BY_COMMAND, _FIELDS_COMMON
+
+    assert {f.name for f in fields(ExperimentConfig)} == _FIELDS_COMMON.union(*_FIELDS_BY_COMMAND.values())
+
+
+def _exit_code(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects an unknown flag this way
+        return exc.code
+
+
+SCALAR_CFG = {
+    "command": "scalar-bws",
+    "shape": {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]},
+    "samples": 201,
+    "function": {"op": "exp", "args": [{"op": "coord", "args": [0]}]},
+    "d_range": [0, 10],
+}
+
+
+@pytest.mark.parametrize("cfg, flags, message", [
+    (dict(FORWARD_CFG, seed=1), [], "unknown field 'seed'"),
+    (dict(FORWARD_CFG, mode="minimax"), [], "unknown field 'mode'"),
+    (dict(SCALAR_CFG, mode="minimax"), [], "unknown field 'mode'"),
+    ({"command": "converse", "n": 2}, [], "unknown field 'n'"),
+    (FORWARD_CFG, ["--seed", "1"], "unrecognized arguments: --seed"),
+], ids=["seed", "forward-mode", "scalar-mode", "converse-n", "seed-flag"])
+def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, message):
+    if cfg["command"] == "converse":
+        cfg = dict(cfg, from_forward=forward_results)
+    argv = ["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out"), *flags]
+    assert _exit_code(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+_SEVEN_ROOTS = [{"op": "const", "args": [0.0, 0.0]}] * 6 + [{"op": "const", "args": [-1.0, 0.0]}]
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (dict(FORWARD_CFG, samples="abc"), "samples"),
+    (dict(FORWARD_CFG, samples=1), "samples"),
+    (dict(FORWARD_CFG, d_range=[2, 3, 4, 5, 6]), "d_range"),
+    (dict(FORWARD_CFG, d_range=[2, 2, 3, 4, 5, 6, 6]), "d_range"),
+    (dict(FORWARD_CFG, d_range=[2.5, 9]), "d_range"),
+    (dict(FORWARD_CFG, fiber_degree=7, coefficients=_SEVEN_ROOTS, d_range=[0, 5]), "d_range"),
+    (dict(SCALAR_CFG, d_range=[0, 4]), "d_range"),
+], ids=["samples-str", "samples-1", "five-degrees", "five-distinct", "float-degree",
+        "top-below-fiber-degree", "scalar-five-degrees"])
+def test_bad_samples_or_degrees_exit_2(tmp_path, capsys, cfg, field):
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
 
 
 def test_invalid_shape_exits_2(tmp_path, capsys):
@@ -86,15 +144,8 @@ def test_counterexample_run(tmp_path):
 
 
 def test_scalar_run(tmp_path):
-    cfg = {
-        "command": "scalar-bws",
-        "shape": {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]},
-        "samples": 201,
-        "function": {"op": "exp", "args": [{"op": "coord", "args": [0]}]},
-        "d_range": [0, 10],
-    }
     out = tmp_path / "out"
-    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main(["run", _write_cfg(tmp_path, SCALAR_CFG), "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
     assert results["fit"]["verdict"] == "geometric"
 
@@ -129,27 +180,48 @@ def test_converse_run_from_forward(tmp_path):
     assert results["verdict"] == "holomorphic-witness"
 
 
-def test_converse_run_from_multigraph_files(tmp_path):
+@pytest.fixture(scope="module")
+def multigraph_files(tmp_path_factory):
+    """Forward t^2 - (x + 2) on 101 points, d = 1..8, stored as one file per multigraph."""
     from hyperapprox.algebra import Const, Polynomial, Pseudopolynomial
     from hyperapprox.forward import forward_rate_experiment
     from hyperapprox.sets_metrics import Multigraph, sample_segment
 
+    out = tmp_path_factory.mktemp("multigraphs")
     K = sample_segment(-1.0, 1.0, 101)
-    a2 = Polynomial.from_coeffs_1d([-2.0, -1.0])  # t^2 - (x + 2)
-    F = Pseudopolynomial(2, (Const(0.0), a2))
-    exp = forward_rate_experiment(F, K, range(1, 9))
-    limit_path = tmp_path / "limit.json"
+    a2 = Polynomial.from_coeffs_1d([-2.0, -1.0])
+    exp = forward_rate_experiment(Pseudopolynomial(2, (Const(0.0), a2)), K, range(1, 9))
+    limit_path = out / "limit.json"
     limit_path.write_text(json.dumps(exp.target.to_json()))
     paths = []
     for r in exp.records:
-        pth = tmp_path / f"w{r.d}.json"
+        pth = out / f"w{r.d}.json"
         pth.write_text(json.dumps(Multigraph(K, r.fibers, 2).to_json()))
         paths.append(str(pth))
-    cfg = {"command": "converse", "multigraph_paths": paths, "limit_path": str(limit_path), "n": 2}
+    return {"command": "converse", "multigraph_paths": paths, "limit_path": str(limit_path)}
+
+
+def test_converse_run_from_multigraph_files(multigraph_files, tmp_path):
     out = tmp_path / "out"
-    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert main(["run", _write_cfg(tmp_path, multigraph_files), "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
     assert results["verdict"] == "holomorphic-witness"
+
+
+@pytest.mark.parametrize("mismatch", ["base", "n"])
+def test_converse_multigraph_file_unlike_limit_exits_2(multigraph_files, tmp_path, capsys, mismatch):
+    from hyperapprox.sets_metrics import Multigraph, sample_segment
+
+    w = Multigraph.from_json(json.loads(Path(multigraph_files["multigraph_paths"][-1]).read_text()))
+    if mismatch == "base":
+        bad = Multigraph(sample_segment(-1.0, 0.9, w.base.count), w.fibers, 2)
+    else:
+        bad = Multigraph(w.base, np.column_stack([w.fibers, np.zeros(w.base.count)]), 3)
+    bad_path = tmp_path / "bad.json"
+    bad_path.write_text(json.dumps(bad.to_json()))
+    cfg = dict(multigraph_files, multigraph_paths=[*multigraph_files["multigraph_paths"][:-1], str(bad_path)])
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert str(bad_path) in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -25,8 +25,7 @@ def exp_round_trip(K401):
     fwd = forward_rate_experiment(F, K401, range(2, 15))
     w_seq = [Multigraph(K401, r.fibers, 2) for r in fwd.records]
     res = converse_experiment(
-        w_seq, K401, 2, [r.delta for r in fwd.records],
-        limit=fwd.target, d_values=[r.d for r in fwd.records],
+        w_seq, K401, 2, limit=fwd.target, d_values=[r.d for r in fwd.records],
     )
     return fwd, res
 
@@ -152,7 +151,7 @@ def test_constant_sequence_trivially_geometric(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
     mg = sample_multigraph(F, K401)
     w_seq = [mg] * 8
-    res = converse_experiment(w_seq, K401, 2, None, limit=mg)
+    res = converse_experiment(w_seq, K401, 2, limit=mg)
     assert res.verdict == "holomorphic-witness"
     assert res.delta_fit.theta == 0.0
 
@@ -160,10 +159,10 @@ def test_constant_sequence_trivially_geometric(K401):
 def test_slow_sequence_rejected_before_reconstruction(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
     mg = sample_multigraph(F, K401)
-    w_seq = [mg] * 10
-    slow = [1.0 / d ** 2 for d in range(1, 11)]
+    # every fiber offset by 1/d^2: the distances decay polynomially
+    w_seq = [Multigraph(K401, mg.fibers + 1.0 / d ** 2, 2) for d in range(1, 11)]
     with pytest.raises(ValueError, match="not geometric"):
-        converse_experiment(w_seq, K401, 2, slow, limit=mg)
+        converse_experiment(w_seq, K401, 2, limit=mg)
 
 
 def test_subsampled_rate_stays_geometric(exp_round_trip):
