@@ -81,7 +81,6 @@ class ApproxResult:
 
     poly: Polynomial
     error: float
-    method: str
     iterations: int
     rank: int
 
@@ -162,7 +161,7 @@ def best_approx(f_samples, points, d: int, mode: str = "minimax") -> ApproxResul
 
     poly = Polynomial.from_terms(m, zip(exponents, best_coeffs), centers, scales)
     err = float(np.abs(f - poly.evaluate_many(pts)).max())
-    return ApproxResult(poly=poly, error=err, method=mode, iterations=iterations, rank=int(rank))
+    return ApproxResult(poly=poly, error=err, iterations=iterations, rank=int(rank))
 
 
 def scalar_bws_rate(f_samples, K: SampledCompact, d_range,

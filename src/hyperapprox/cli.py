@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import Pseudopolynomial, expr_from_json
-from .chebyshev import scalar_bws_rate
+from .chebyshev import basis_dimension, scalar_bws_rate
 from .converse import converse_experiment
 from .demos import closure_failure_demo, counterexample_rates
 from .extremal import continuity_probe, shape_from_json
@@ -157,36 +157,47 @@ def _rate_fit_json(fit) -> dict:
     }
 
 
+def _parse_expr(field: str, data):
+    try:
+        return expr_from_json(data)
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        raise ConfigError(f"field {field!r} is invalid: {exc}") from exc
+
+
 def _parse_pseudopolynomial(cfg: ExperimentConfig) -> Pseudopolynomial:
     if cfg.fiber_degree is None or cfg.coefficients is None:
         raise ConfigError("fields 'fiber_degree' and 'coefficients' are required")
-    if len(cfg.coefficients) != cfg.fiber_degree:
+    if type(cfg.coefficients) is not list or len(cfg.coefficients) != cfg.fiber_degree:
         raise ConfigError(
             f"field 'coefficients' must list exactly fiber_degree={cfg.fiber_degree} entries"
         )
-    try:
-        coeffs = tuple(expr_from_json(c) for c in cfg.coefficients)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'coefficients' is invalid: {exc}") from exc
+    coeffs = tuple(_parse_expr("coefficients", c) for c in cfg.coefficients)
     return Pseudopolynomial(cfg.fiber_degree, coeffs)
 
 
-def _d_list(cfg: ExperimentConfig, top_at_least: int = 0) -> list:
+def _d_list(cfg: ExperimentConfig, K: SampledCompact, top_at_least: int = 0) -> list:
     d = cfg.d_range
     if type(d) is not list or any(type(x) is not int or x < 0 for x in d):
         raise ConfigError(f"field 'd_range' must list nonnegative integer degrees, got {d!r}")
     if len(d) == 2 and d[0] < d[1]:
         d = range(d[0], d[1] + 1)
     try:
-        return degree_list(d, top_at_least)
+        d_list = degree_list(d, top_at_least)
     except ValueError as exc:
         raise ConfigError(f"field 'd_range' is invalid: {exc}") from exc
+    dim = basis_dimension(K.m, d_list[-1])
+    if dim > K.count:
+        raise ConfigError(
+            f"field 'd_range' reaches degree {d_list[-1]}, whose basis has {dim} "
+            f"functions, but the compact has only {K.count} samples"
+        )
+    return d_list
 
 
 def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
     K = _build_compact(cfg)
     F = _parse_pseudopolynomial(cfg)
-    exp = forward_rate_experiment(F, K, _d_list(cfg, top_at_least=F.n), tol=cfg.tol)
+    exp = forward_rate_experiment(F, K, _d_list(cfg, K, top_at_least=F.n), tol=cfg.tol)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(F.n)] + ["delta", "graph_dh"]
     rows = [[r.d, *[float(e) for e in r.coeff_errors], r.delta, r.graph_dh] for r in exp.records]
     _write_csv(out / "rates.csv", header, rows)
@@ -273,8 +284,7 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
             f"field 'x0_index' must lie in [0, {base.count}), the base sample's "
             f"index range, got {x0!r}"
         )
-    result = converse_experiment(w_seq, base, n, limit=limit, x0_index=x0,
-                                 d_values=d_values, solver_tol=cfg.tol)
+    result = converse_experiment(w_seq, limit, x0_index=x0, d_values=d_values, solver_tol=cfg.tol)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(n)]
     rows = [[d, *[float(e) for e in result.coeff_errors[i]]] for i, d in enumerate(result.d_values)]
     _write_csv(out / "rates.csv", header, rows)
@@ -306,11 +316,8 @@ def _run_scalar(cfg: ExperimentConfig, out: Path) -> int:
     K = _build_compact(cfg)
     if cfg.function is None:
         raise ConfigError("field 'function' is required")
-    try:
-        fn = expr_from_json(cfg.function)
-    except ValueError as exc:
-        raise ConfigError(f"field 'function' is invalid: {exc}") from exc
-    errors, fit = scalar_bws_rate(fn.eval_many(K.points), K, _d_list(cfg))
+    fn = _parse_expr("function", cfg.function)
+    errors, fit = scalar_bws_rate(fn.eval_many(K.points), K, _d_list(cfg, K))
     _write_csv(out / "rates.csv", ["d", "error"], [[d, e] for d, e in errors])
     _write_csv(out / "plot_data.csv", ["d", "log10_error"],
                [[d, math.log10(max(e, 1e-300))] for d, e in errors])

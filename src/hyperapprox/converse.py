@@ -13,13 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Pseudopolynomial, vieta_from_roots
-from .chebyshev import best_approx
+from .chebyshev import basis_dimension, best_approx
 from .extremal import continuity_probe
 from .roots import match_roots, min_gaps
 from .sets_metrics import (
     Multigraph,
     RateFit,
-    SampledCompact,
     fiber_profile,
     fit_geometric_rate,
     tail_start,
@@ -164,7 +163,6 @@ class ConverseResult:
     n_detected: int
     d_values: tuple
     coeff_errors: np.ndarray  # (num_d, n) sup errors against the target coefficients
-    coeff_polys: tuple  # per-d tuples of n fitted coefficient Polynomials
     coeff_fits: tuple
     matched_sup: tuple
     lemma: LemmaConstants
@@ -172,33 +170,31 @@ class ConverseResult:
     delta_fit: RateFit
     verdict: str
     reconstructed: Pseudopolynomial
-    coeff_fit_residuals: tuple
-    neighborhood_cauchy: RateFit | None
     extremal_continuity: str
     theta_envelope_ok: bool
 
 
-def converse_experiment(w_seq, base: SampledCompact, n: int, *,
-                        limit: Multigraph, x0_index: int | None = None,
+def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None,
                         d_values=None, solver_tol: float = 1e-12) -> ConverseResult:
     """Reconstruct coefficient data from a geometrically convergent sequence
     of algebraic multigraphs.
 
-    The fiberwise distances of w_seq to the limit must fit a geometric decay
-    in d_values (1, 2, ... when omitted), otherwise the hypothesis fails and
-    no reconstruction is attempted.  The verdict is
+    Every multigraph must share the limit's base sample; the covering number
+    is the limit's n.  The fiberwise distances of w_seq to the limit must fit
+    a geometric decay in d_values (1, 2, ... when omitted), otherwise the
+    hypothesis fails and no reconstruction is attempted.  The verdict is
     holomorphic-witness when every reconstructed coefficient's sup error
-    decays geometrically; the witness itself is the coefficient polynomial
-    family at the largest degree, whose successive differences are also
-    checked on a neighbourhood grid (the base dilated by 1.1).
+    decays geometrically.  The witness (reconstructed) is the least-squares
+    polynomial fit of the last multigraph's Vieta coefficients, at the
+    largest degree <= the last of d_values whose basis the base samples can
+    carry.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
+    base, n = limit.base, limit.n
     for w in w_seq:
         if not np.array_equal(w.base.points, base.points):
-            raise ValueError("all multigraphs must share the base sample")
-    if not np.array_equal(limit.base.points, base.points):
-        raise ValueError("limit must share the base sample")
+            raise ValueError("all multigraphs must share the limit's base sample")
     if d_values is None:
         d_values = tuple(range(1, len(w_seq) + 1))
     d_values = tuple(int(d) for d in d_values)
@@ -221,12 +217,7 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, *,
     r_last = max(float(delta_pairs[-1][1]), fit_floor)
     lemma = product_bound_constants(n, R=R, r=r_last, M=max(delta_fit.M, r_last))
 
-    num_d = len(w_seq)
-    grid = base.dilate(1.1)
-    coeff_errors = np.empty((num_d, n))
-    coeff_polys = []
-    grid_values = []
-    fit_residuals = []
+    coeff_errors = np.empty((len(w_seq), n))
     matched_sup = []
     lemma_ok = []
     for di, w in enumerate(w_seq):
@@ -242,13 +233,6 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, *,
             coeff_errors[di, k] <= per_k.D[k] * bound_r * (1 + 1e-9) + 1e-12
             for k in range(n)
         )))
-        # the coefficient samples of an algebraic multigraph of degree d are
-        # polynomial, so a least-squares fit at that degree is near-exact
-        fit_deg = min(d_values[di], max(0, base.count - 1))
-        fits = [best_approx(rec[:, k], base, fit_deg, mode="least-squares") for k in range(n)]
-        coeff_polys.append(tuple(f.poly for f in fits))
-        fit_residuals.append(tuple(f.error for f in fits))
-        grid_values.append(np.column_stack([p.evaluate_many(grid.points) for p in coeff_polys[-1]]))
 
     coeff_fit_floor = max(fit_floor, lemma.D[-1] * 10.0 * solver_tol)
     coeff_fits = tuple(
@@ -258,17 +242,15 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, *,
     all_geometric = all(f.verdict == "geometric" for f in coeff_fits)
     theta_env_ok = all(f.theta <= delta_fit.theta + 0.1 for f in coeff_fits)
 
-    # the holomorphic-extension witness: the highest-degree coefficient
-    # polynomials, with successive differences decaying on a grid slightly
-    # larger than K (the computable shadow of a common extension)
-    reconstructed = Pseudopolynomial(n, coeff_polys[-1])
-    neighborhood_cauchy = None
-    diffs = [
-        (d_values[di], float(np.abs(grid_values[di] - grid_values[di - 1]).max()))
-        for di in range(1, num_d)
-    ]
-    if len(diffs) >= 4:
-        neighborhood_cauchy = fit_geometric_rate(diffs, floor=coeff_fit_floor)
+    # the witness fits rec, the last multigraph's coefficient samples; those
+    # of an algebraic multigraph of degree d are polynomial, so a
+    # least-squares fit at that degree is near-exact
+    fit_deg = d_values[-1]
+    while fit_deg > 0 and basis_dimension(base.m, fit_deg) > base.count:
+        fit_deg -= 1
+    reconstructed = Pseudopolynomial(n, tuple(
+        best_approx(rec[:, k], base, fit_deg, mode="least-squares").poly for k in range(n)
+    ))
 
     if base.shape is not None:
         probe_pts = base.points
@@ -282,7 +264,6 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, *,
         n_detected=n_detected,
         d_values=d_values,
         coeff_errors=coeff_errors,
-        coeff_polys=tuple(coeff_polys),
         coeff_fits=coeff_fits,
         matched_sup=tuple(matched_sup),
         lemma=lemma,
@@ -290,8 +271,6 @@ def converse_experiment(w_seq, base: SampledCompact, n: int, *,
         delta_fit=delta_fit,
         verdict=verdict,
         reconstructed=reconstructed,
-        coeff_fit_residuals=tuple(fit_residuals),
-        neighborhood_cauchy=neighborhood_cauchy,
         extremal_continuity=extremal_continuity,
         theta_envelope_ok=theta_env_ok,
     )

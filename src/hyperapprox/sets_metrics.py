@@ -95,12 +95,6 @@ class SampledCompact:
         re = _to_real(self.points)
         return float(cdist(re, re).max())
 
-    def dilate(self, factor: float) -> "SampledCompact":
-        """Scale about the sample centroid (used for neighbourhood grids)."""
-        c = self.points.mean(axis=0)
-        return SampledCompact(c + factor * (self.points - c), mesh=self.mesh * factor,
-                              ambient_diam=self.ambient_diam, shape=None)
-
     def to_json(self) -> dict:
         return {
             "m": self.m,

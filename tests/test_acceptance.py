@@ -126,9 +126,7 @@ def test_criterion_05_converse_round_trip(forward_exp_experiment, segment_401):
     exp, _ = forward_exp_experiment
     t0 = time.perf_counter()
     w_seq = [Multigraph(segment_401, r.fibers, 2) for r in exp.records]
-    res = converse_experiment(
-        w_seq, segment_401, 2, limit=exp.target, d_values=[r.d for r in exp.records],
-    )
+    res = converse_experiment(w_seq, exp.target, d_values=[r.d for r in exp.records])
     target = -np.exp(segment_401.points[:, 0])
     a2_samples = np.array([np.prod(f) for f in w_seq[-1].fibers])  # a_2 = t_1 t_2
     sup_err = float(np.abs(a2_samples - target).max())

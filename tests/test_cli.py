@@ -92,11 +92,32 @@ _SEVEN_ROOTS = [{"op": "const", "args": [0.0, 0.0]}] * 6 + [{"op": "const", "arg
     (dict(FORWARD_CFG, d_range=[2.5, 9]), "d_range"),
     (dict(FORWARD_CFG, fiber_degree=7, coefficients=_SEVEN_ROOTS, d_range=[0, 5]), "d_range"),
     (dict(SCALAR_CFG, d_range=[0, 4]), "d_range"),
+    (dict(SCALAR_CFG, function={"op": "exp"}), "function"),
+    (dict(SCALAR_CFG, function={"op": "const", "args": [[1.0]]}), "function"),
+    (dict(SCALAR_CFG, function={"op": "poly", "args": [{}]}), "function"),
+    (dict(FORWARD_CFG, coefficients=5), "coefficients"),
 ], ids=["samples-str", "samples-1", "five-degrees", "five-distinct", "float-degree",
-        "top-below-fiber-degree", "scalar-five-degrees"])
+        "top-below-fiber-degree", "scalar-five-degrees", "function-no-args",
+        "function-const-list", "function-poly-empty", "coefficients-int"])
 def test_bad_samples_or_degrees_exit_2(tmp_path, capsys, cfg, field):
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
+
+
+_BOX = {"kind": "box", "intervals": [[-1.0, 1.0], [-1.0, 1.0]]}
+
+
+@pytest.mark.parametrize("cfg, count", [
+    (dict(FORWARD_CFG, samples=4, d_range=[2, 7]), 4),
+    (dict(FORWARD_CFG, shape=_BOX, samples=25, d_range=[5, 10]), 25),
+    (dict(SCALAR_CFG, samples=4), 4),
+    (dict(SCALAR_CFG, shape=_BOX, samples=25), 25),
+], ids=["forward-segment", "forward-box", "scalar-segment", "scalar-box"])
+def test_degree_beyond_samples_exits_2(tmp_path, capsys, cfg, count):
+    # the top degree's basis has more functions than the compact has samples
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "field 'd_range'" in err and f"only {count} samples" in err
 
 
 def test_invalid_shape_exits_2(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hyperapprox.algebra import Const, Coord, Exp, Neg, Pseudopolynomial
+from hyperapprox.algebra import Const, Coord, Exp, Neg, Polynomial, Pseudopolynomial
 from hyperapprox.converse import (
     CoveringNumberError,
     converse_experiment,
@@ -10,7 +10,13 @@ from hyperapprox.converse import (
     reconstruct_coefficients,
 )
 from hyperapprox.forward import forward_rate_experiment, sample_multigraph
-from hyperapprox.sets_metrics import Multigraph, SampledCompact, fit_geometric_rate, sample_segment
+from hyperapprox.sets_metrics import (
+    Multigraph,
+    SampledCompact,
+    fit_geometric_rate,
+    sample_box,
+    sample_segment,
+)
 from tests.oracles import subset_products_ok
 
 
@@ -24,9 +30,7 @@ def exp_round_trip(K401):
     F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))
     fwd = forward_rate_experiment(F, K401, range(2, 15))
     w_seq = [Multigraph(K401, r.fibers, 2) for r in fwd.records]
-    res = converse_experiment(
-        w_seq, K401, 2, limit=fwd.target, d_values=[r.d for r in fwd.records],
-    )
+    res = converse_experiment(w_seq, fwd.target, d_values=[r.d for r in fwd.records])
     return fwd, res
 
 
@@ -151,9 +155,30 @@ def test_constant_sequence_trivially_geometric(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
     mg = sample_multigraph(F, K401)
     w_seq = [mg] * 8
-    res = converse_experiment(w_seq, K401, 2, limit=mg)
+    res = converse_experiment(w_seq, mg)
     assert res.verdict == "holomorphic-witness"
     assert res.delta_fit.theta == 0.0
+
+
+def test_sequence_on_another_base_rejected(K401):
+    F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
+    mg = sample_multigraph(F, K401)
+    other = sample_multigraph(F, sample_segment(0.0, 2.0, 401))
+    with pytest.raises(ValueError, match="base sample"):
+        converse_experiment([mg] * 7 + [other], mg)
+
+
+def test_witness_degree_fits_box_samples():
+    # 9 samples on a box carry the degree-2 basis (6 functions) but not the
+    # degree-3 one (10), so the witness is fitted at degree 2, which
+    # reproduces t^2 - (x0^2 + 2) exactly
+    K = sample_box([(-1.0, 1.0), (-1.0, 1.0)], 3)
+    a2 = Polynomial.from_terms(2, [((0, 0), -2.0), ((2, 0), -1.0)])
+    mg = sample_multigraph(Pseudopolynomial(2, (Const(0.0), a2)), K)
+    res = converse_experiment([mg] * 8, mg)
+    assert res.verdict == "holomorphic-witness"
+    for p, want in zip(res.reconstructed.coeffs, (0.0, a2.evaluate_many(K.points))):
+        np.testing.assert_allclose(p.evaluate_many(K.points), want, atol=1e-12)
 
 
 def test_slow_sequence_rejected_before_reconstruction(K401):
@@ -162,7 +187,7 @@ def test_slow_sequence_rejected_before_reconstruction(K401):
     # every fiber offset by 1/d^2: the distances decay polynomially
     w_seq = [Multigraph(K401, mg.fibers + 1.0 / d ** 2, 2) for d in range(1, 11)]
     with pytest.raises(ValueError, match="not geometric"):
-        converse_experiment(w_seq, K401, 2, limit=mg)
+        converse_experiment(w_seq, mg)
 
 
 def test_subsampled_rate_stays_geometric(exp_round_trip):
