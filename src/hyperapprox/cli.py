@@ -117,6 +117,19 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _number(field: str, value, *, above=-math.inf, at_least=-math.inf, at_most=math.inf,
+            integer: bool = False):
+    """value if it is a finite number (an int when integer) with value > above
+    and at_least <= value <= at_most; otherwise a ConfigError naming field."""
+    ok = type(value) is int or (not integer and type(value) is float and math.isfinite(value))
+    if not (ok and above < value and at_least <= value <= at_most):
+        bounds = " and ".join(f"{op} {b:.6g}" for op, b in
+                              ((">", above), (">=", at_least), ("<=", at_most)) if math.isfinite(b))
+        kind = "an integer" if integer else "a finite number"
+        raise ConfigError(f"field {field!r} must be {kind} {bounds}, got {value!r}")
+    return value
+
+
 def _parse_shape(cfg: ExperimentConfig):
     if cfg.shape is None:
         raise ConfigError("field 'shape' is required for this command")
@@ -128,8 +141,7 @@ def _parse_shape(cfg: ExperimentConfig):
 
 def _build_compact(cfg: ExperimentConfig) -> SampledCompact:
     shape = _parse_shape(cfg)
-    if type(cfg.samples) is not int or cfg.samples < 2:
-        raise ConfigError(f"field 'samples' must be an integer >= 2, got {cfg.samples!r}")
+    _number("samples", cfg.samples, at_least=2, integer=True)
     kind = cfg.shape["kind"]
     if kind == "segment":
         return sample_segment(shape.a, shape.b, cfg.samples)
@@ -279,11 +291,8 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
         )
     base, n = limit.base, limit.n
     x0 = cfg.x0_index
-    if x0 is not None and not (isinstance(x0, int) and 0 <= x0 < base.count):
-        raise ConfigError(
-            f"field 'x0_index' must lie in [0, {base.count}), the base sample's "
-            f"index range, got {x0!r}"
-        )
+    if x0 is not None:
+        _number("x0_index", x0, at_least=0, at_most=base.count - 1, integer=True)
     result = converse_experiment(w_seq, limit, x0_index=x0, d_values=d_values, solver_tol=cfg.tol)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(n)]
     rows = [[d, *[float(e) for e in result.coeff_errors[i]]] for i, d in enumerate(result.d_values)]
@@ -304,7 +313,6 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
         "coefficient_fits": [_rate_fit_json(f) for f in result.coeff_fits],
         "lemma_constants": {"R": result.lemma.R, "C": list(result.lemma.C), "D": list(result.lemma.D)},
         "lemma_bound_ok": list(result.lemma_ok),
-        "extremal_continuity": result.extremal_continuity,
         "reconstructed": result.reconstructed.to_json(),
     }
     _write_json(out / "results.json", payload)
@@ -328,7 +336,11 @@ def _run_scalar(cfg: ExperimentConfig, out: Path) -> int:
 def _run_counterexample(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.k_max is None:
         raise ConfigError("field 'k_max' is required")
-    mesh = cfg.mesh if cfg.mesh is not None else 0.5 ** (cfg.k_max + 3)
+    _number("k_max", cfg.k_max, at_least=2, integer=True)
+    mesh = 0.5 ** (cfg.k_max + 3)
+    if cfg.mesh is not None:
+        # the grid must resolve the finest modified interval, 2^-k_max wide
+        mesh = _number("mesh", cfg.mesh, above=0.0, at_most=0.5 ** cfg.k_max / 8.0)
     rows = counterexample_rates(cfg.k_max, mesh)
     _write_csv(out / "rates.csv", ["k", "sup_norm", "graph_dh", "c_est"],
                [[r.k, r.sup_norm, r.graph_dh, r.c_est] for r in rows])
@@ -352,6 +364,11 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> int:
 
 def _run_closure(cfg: ExperimentConfig, out: Path) -> int:
     nu_list = cfg.nu_list if cfg.nu_list is not None else [10.0, 100.0, 1000.0]
+    if type(nu_list) is not list or not nu_list:
+        raise ConfigError(f"field 'nu_list' must be a nonempty list, got {nu_list!r}")
+    for nu in nu_list:
+        _number("nu_list", nu, above=0.0)
+    _number("box_height", cfg.box_height, above=0.0)
     report = closure_failure_demo(nu_list, box_height=cfg.box_height, tol=0.05)
     _write_csv(out / "fiber_growth.csv", ["box_height", "fiber_cardinality"],
                [[h, c] for h, c in zip(report.box_heights, report.fiber_counts)])
@@ -372,8 +389,10 @@ def _run_closure(cfg: ExperimentConfig, out: Path) -> int:
 
 def _run_extremal(cfg: ExperimentConfig, out: Path) -> int:
     shape = _parse_shape(cfg)
-    step = cfg.grid_step if cfg.grid_step is not None else 0.05
-    h = cfg.h if cfg.h is not None else 2.5 * step
+    step = _number("grid_step", cfg.grid_step, above=0.0) if cfg.grid_step is not None else 0.05
+    grid_mesh = step * math.sqrt(2) / 2.0
+    # continuity_probe needs every grid point to have neighbours in its h-ball
+    h = _number("h", cfg.h, at_least=2.0 * grid_mesh) if cfg.h is not None else 2.5 * step
     if shape.dim != 1:
         raise ConfigError("extremal command currently samples 1-dimensional shapes")
     half = shape.diameter()
@@ -381,7 +400,7 @@ def _run_extremal(cfg: ExperimentConfig, out: Path) -> int:
     gx, gy = np.meshgrid(xs, xs)
     pts = (gx.ravel() + 1j * gy.ravel()).reshape(-1, 1)
     vals = shape.phi_many(pts)
-    osc = continuity_probe(shape, pts, step * math.sqrt(2) / 2.0, h)
+    osc = continuity_probe(shape, pts, grid_mesh, h)
     _write_csv(out / "phi.csv", ["re", "im", "phi"],
                [[float(p[0].real), float(p[0].imag), float(v)] for p, v in zip(pts, vals)])
     checks = {"phi_ge_1": bool(vals.min() >= 1.0 - 1e-12)}
@@ -405,6 +424,7 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
+    _number("tol", config.tol, above=0.0)
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

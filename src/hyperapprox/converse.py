@@ -3,6 +3,9 @@ a target multigraph in the fiberwise metric, detect the covering number,
 reconstruct the coefficient functions from the fibers by Vieta's formulas,
 verify that their decay inherits the geometric rate through explicit
 product-perturbation constants, and emit the reconstructed pseudopolynomial.
+
+It assumes K is regular (Phi_K continuous), as holds for the standard
+catalogue; the extremal command probes Phi_K's continuity on a grid.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import numpy as np
 
 from .algebra import Pseudopolynomial, vieta_from_roots
 from .chebyshev import basis_dimension, best_approx
-from .extremal import continuity_probe
 from .roots import match_roots, min_gaps
 from .sets_metrics import (
     Multigraph,
@@ -170,7 +172,6 @@ class ConverseResult:
     delta_fit: RateFit
     verdict: str
     reconstructed: Pseudopolynomial
-    extremal_continuity: str
     theta_envelope_ok: bool
 
 
@@ -187,7 +188,7 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
     decays geometrically.  The witness (reconstructed) is the least-squares
     polynomial fit of the last multigraph's Vieta coefficients, at the
     largest degree <= the last of d_values whose basis the base samples can
-    carry.
+    carry.  Regularity of the base compact is assumed, not checked here.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
@@ -252,13 +253,6 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
         best_approx(rec[:, k], base, fit_deg, mode="least-squares").poly for k in range(n)
     ))
 
-    if base.shape is not None:
-        probe_pts = base.points
-        osc = continuity_probe(base.shape, probe_pts, base.mesh, max(4 * base.mesh, 1e-6))
-        extremal_continuity = f"checked-standard (oscillation {osc:.3e})"
-    else:
-        extremal_continuity = "assumed"
-
     verdict = "holomorphic-witness" if all_geometric else "rejected"
     return ConverseResult(
         n_detected=n_detected,
@@ -271,6 +265,5 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
         delta_fit=delta_fit,
         verdict=verdict,
         reconstructed=reconstructed,
-        extremal_continuity=extremal_continuity,
         theta_envelope_ok=theta_env_ok,
     )

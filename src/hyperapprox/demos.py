@@ -26,8 +26,7 @@ from .sets_metrics import (
     KuratowskiReport,
     Multigraph,
     SampledCompact,
-    fiber_profile,
-    hausdorff,
+    fiberwise_hausdorff,
     kuratowski_check,
 )
 
@@ -154,16 +153,15 @@ class ProbeResult:
 def fiberwise_constant_probe(fm: Multigraph, gm: Multigraph) -> ProbeResult:
     """Smallest observed constant with delta <= C * d_H(graphs).
 
-    Always >= 1 up to sampling effects; on pairs whose difference is
-    concentrated on a short steep feature it grows without bound, which is
-    why a graph-distance rate cannot be converted to a fiberwise rate with
-    a uniform constant.
+    delta and d_H come from sets_metrics.fiberwise_hausdorff over every
+    base point.  Always >= 1 up to sampling effects; on pairs whose
+    difference is concentrated on a short steep feature it grows without
+    bound, which is why a graph-distance rate cannot be converted to a
+    fiberwise rate with a uniform constant.
     """
-    profile = fiber_profile(fm, gm)
-    delta = float(profile.max())
-    graph_dh = hausdorff(fm.graph_points(), gm.graph_points())
-    return ProbeResult(delta=delta, graph_dh=graph_dh,
-                       c_est=delta / max(graph_dh, 1e-15))
+    dist = fiberwise_hausdorff(fm, gm)
+    return ProbeResult(delta=dist.delta, graph_dh=dist.graph_dh,
+                       c_est=dist.delta / max(dist.graph_dh, 1e-15))
 
 
 # ---------------------------------------------------------------------------

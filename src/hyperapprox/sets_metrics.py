@@ -81,14 +81,6 @@ class SampledCompact:
     def count(self) -> int:
         return self.points.shape[0]
 
-    @property
-    def is_empty(self) -> bool:
-        return self.points.shape[0] == 0
-
-    @staticmethod
-    def empty(m: int, ambient_diam: float) -> "SampledCompact":
-        return SampledCompact(np.zeros((0, m), dtype=complex), mesh=0.0, ambient_diam=ambient_diam)
-
     def diameter(self) -> float:
         if self.count < 2:
             return 0.0
@@ -244,18 +236,24 @@ def fiber_profile(y: Multigraph, w: Multigraph) -> np.ndarray:
 class DeltaResult:
     delta: float
     graph_dh: float
-    per_point: np.ndarray
 
 
-def fiberwise_hausdorff(y: Multigraph, w: Multigraph) -> DeltaResult:
-    """Sup over base points of the fiber Hausdorff distance, plus the plain
-    Hausdorff distance between the sampled graphs (which never exceeds it)."""
+def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = None) -> DeltaResult:
+    """The fiberwise distance delta (sup over base points of the fiber
+    Hausdorff distance) and the Hausdorff distance graph_dh of the sampled
+    graphs: the one path that computes this pair.
+
+    keep, an optional boolean (N,) mask of base points, restricts both the
+    profile max and the graph rows (each base point owns n rows).  On exact
+    data graph_dh <= delta; callers that need the invariant check it.
+    """
     profile = fiber_profile(y, w)
-    delta = float(profile.max())
-    graph_dh = hausdorff(y.graph_points(), w.graph_points())
-    if graph_dh > delta + 1e-12:
-        raise RuntimeError(f"graph distance {graph_dh:.3e} exceeded fiberwise distance {delta:.3e}")
-    return DeltaResult(delta, graph_dh, profile)
+    yg, wg = y.graph_points(), w.graph_points()
+    if keep is not None:
+        profile = profile[keep]
+        rows = np.repeat(keep, y.n)
+        yg, wg = yg[rows], wg[rows]
+    return DeltaResult(float(profile.max()), hausdorff(yg, wg))
 
 
 # ---------------------------------------------------------------------------
@@ -356,19 +354,10 @@ class RateFit:
     floor_mask: tuple
     verdict: str
     limsup_proxy: float
-    dth_roots: tuple
     theta_head: float | None = None
     theta_tail: float | None = None
     floor: float = RATE_FLOOR
     n_used: int = 0
-
-    def envelope_holds(self, pairs) -> bool:
-        for i, (d, a) in enumerate(pairs):
-            if i in self.floor_mask or a <= self.floor:
-                continue
-            if self.theta == 0.0 or a > self.M * self.theta ** d:
-                return False
-        return True
 
 
 def _ls_slope(ds: np.ndarray, logs: np.ndarray):
@@ -409,8 +398,7 @@ def fit_geometric_rate(pairs, floor: float = RATE_FLOOR) -> RateFit:
 
     if keep.size == 0:
         return RateFit(M=floor, theta=0.0, residual=0.0, floor_mask=floor_mask,
-                       verdict="geometric", limsup_proxy=limsup_proxy,
-                       dth_roots=dth_roots, floor=floor, n_used=0)
+                       verdict="geometric", limsup_proxy=limsup_proxy, floor=floor, n_used=0)
 
     ds, al = ds_all[keep], al_all[keep]
     if keep.size < 4:
@@ -419,11 +407,10 @@ def fit_geometric_rate(pairs, floor: float = RATE_FLOOR) -> RateFit:
         if al.max() <= 100.0 * floor:
             return RateFit(M=floor * 100.0, theta=0.0, residual=0.0, floor_mask=floor_mask,
                            verdict="geometric", limsup_proxy=limsup_proxy,
-                           dth_roots=dth_roots, floor=floor, n_used=int(keep.size))
+                           floor=floor, n_used=int(keep.size))
         return RateFit(M=float(al.max()), theta=1.0, residual=float("nan"),
                        floor_mask=floor_mask, verdict="inconclusive",
-                       limsup_proxy=limsup_proxy, dth_roots=dth_roots,
-                       floor=floor, n_used=int(keep.size))
+                       limsup_proxy=limsup_proxy, floor=floor, n_used=int(keep.size))
 
     logs = np.log(al)
     slope, intercept = _ls_slope(ds, logs)
@@ -458,7 +445,7 @@ def fit_geometric_rate(pairs, floor: float = RATE_FLOOR) -> RateFit:
     else:
         verdict = "inconclusive"
     return RateFit(M=float(m_env), theta=theta, residual=residual, floor_mask=floor_mask,
-                   verdict=verdict, limsup_proxy=limsup_proxy, dth_roots=dth_roots,
+                   verdict=verdict, limsup_proxy=limsup_proxy,
                    theta_head=theta_head, theta_tail=theta_tail, floor=floor,
                    n_used=int(keep.size))
 

@@ -82,6 +82,9 @@ def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, 
 
 
 _SEVEN_ROOTS = [{"op": "const", "args": [0.0, 0.0]}] * 6 + [{"op": "const", "args": [-1.0, 0.0]}]
+_STAIRCASE = {"command": "counterexample", "k_max": 8}
+_CLOSURE = {"command": "closure-demo"}
+_EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0}}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -96,9 +99,24 @@ _SEVEN_ROOTS = [{"op": "const", "args": [0.0, 0.0]}] * 6 + [{"op": "const", "arg
     (dict(SCALAR_CFG, function={"op": "const", "args": [[1.0]]}), "function"),
     (dict(SCALAR_CFG, function={"op": "poly", "args": [{}]}), "function"),
     (dict(FORWARD_CFG, coefficients=5), "coefficients"),
+    (dict(_STAIRCASE, k_max="8"), "k_max"),
+    (dict(_STAIRCASE, k_max=1), "k_max"),
+    (dict(_STAIRCASE, mesh=0), "mesh"),
+    (dict(_STAIRCASE, mesh=-0.001), "mesh"),
+    (dict(_STAIRCASE, mesh=2.0 ** -10), "mesh"),
+    (dict(_CLOSURE, nu_list=[0, 10, 100]), "nu_list"),
+    (dict(_CLOSURE, box_height=-1), "box_height"),
+    (dict(_EXTREMAL, grid_step=0), "grid_step"),
+    (dict(_EXTREMAL, grid_step="a"), "grid_step"),
+    (dict(_EXTREMAL, h=0.01), "h"),
+    (dict(FORWARD_CFG, tol="x"), "tol"),
+    (dict(FORWARD_CFG, tol=-1), "tol"),
 ], ids=["samples-str", "samples-1", "five-degrees", "five-distinct", "float-degree",
         "top-below-fiber-degree", "scalar-five-degrees", "function-no-args",
-        "function-const-list", "function-poly-empty", "coefficients-int"])
+        "function-const-list", "function-poly-empty", "coefficients-int",
+        "k_max-str", "k_max-1", "mesh-0", "mesh-negative", "mesh-coarse", "nu-zero",
+        "box-height-negative", "grid-step-0", "grid-step-str", "h-below-grid", "tol-str",
+        "tol-negative"])
 def test_bad_samples_or_degrees_exit_2(tmp_path, capsys, cfg, field):
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
