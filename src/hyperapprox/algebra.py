@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +28,6 @@ __all__ = [
     "Cos",
     "Inv",
     "Pseudopolynomial",
-    "CoefficientFunction",
-    "eval_coefficient",
     "vieta_from_roots",
     "assembled_degree_bound",
     "expr_from_json",
@@ -182,12 +180,14 @@ class Expr:
 
     The supported operations are constants, coordinates, sums, products,
     negation, exp, sin, cos and reciprocals (the caller guarantees the
-    reciprocal's argument has no zero on the evaluation domain).
+    reciprocal's argument has no zero on the evaluation domain); a
+    Polynomial is the "poly" leaf.  Every coefficient function, expression
+    or Polynomial, evaluates an (N, m) point array through evaluate_many.
     """
 
     op = ""
 
-    def eval_many(self, pts: np.ndarray) -> np.ndarray:  # pragma: no cover
+    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:  # pragma: no cover
         raise NotImplementedError
 
     def to_json(self) -> dict:  # pragma: no cover
@@ -199,7 +199,7 @@ class Const(Expr):
     value: complex
     op = "const"
 
-    def eval_many(self, pts):
+    def evaluate_many(self, pts):
         return np.full(pts.shape[0], complex(self.value), dtype=complex)
 
     def to_json(self):
@@ -212,7 +212,7 @@ class Coord(Expr):
     index: int
     op = "coord"
 
-    def eval_many(self, pts):
+    def evaluate_many(self, pts):
         if self.index >= pts.shape[1]:
             raise ValueError(f"coordinate {self.index} out of range for m={pts.shape[1]}")
         return np.asarray(pts[:, self.index], dtype=complex)
@@ -226,14 +226,14 @@ class Add(Expr):
     args: tuple
     op = "add"
 
-    def eval_many(self, pts):
+    def evaluate_many(self, pts):
         out = np.zeros(pts.shape[0], dtype=complex)
         for a in self.args:
-            out = out + a.eval_many(pts)
+            out = out + a.evaluate_many(pts)
         return out
 
     def to_json(self):
-        return {"op": "add", "args": [a.to_json() for a in self.args]}
+        return {"op": "add", "args": [expr_to_json(a) for a in self.args]}
 
 
 @dataclass(frozen=True)
@@ -241,14 +241,14 @@ class Mul(Expr):
     args: tuple
     op = "mul"
 
-    def eval_many(self, pts):
+    def evaluate_many(self, pts):
         out = np.ones(pts.shape[0], dtype=complex)
         for a in self.args:
-            out = out * a.eval_many(pts)
+            out = out * a.evaluate_many(pts)
         return out
 
     def to_json(self):
-        return {"op": "mul", "args": [a.to_json() for a in self.args]}
+        return {"op": "mul", "args": [expr_to_json(a) for a in self.args]}
 
 
 def _unary(name):
@@ -259,11 +259,11 @@ def _unary(name):
         arg: Expr
         op = name
 
-        def eval_many(self, pts):
-            return fn(self.arg.eval_many(pts))
+        def evaluate_many(self, pts):
+            return fn(self.arg.evaluate_many(pts))
 
         def to_json(self):
-            return {"op": name, "args": [self.arg.to_json()]}
+            return {"op": name, "args": [expr_to_json(self.arg)]}
 
     _U.__name__ = name.capitalize()
     return _U
@@ -279,11 +279,11 @@ class Neg(Expr):
     arg: Expr
     op = "neg"
 
-    def eval_many(self, pts):
-        return -self.arg.eval_many(pts)
+    def evaluate_many(self, pts):
+        return -self.arg.evaluate_many(pts)
 
     def to_json(self):
-        return {"op": "neg", "args": [self.arg.to_json()]}
+        return {"op": "neg", "args": [expr_to_json(self.arg)]}
 
 
 @dataclass(frozen=True)
@@ -293,8 +293,8 @@ class Inv(Expr):
     arg: Expr
     op = "inv"
 
-    def eval_many(self, pts):
-        den = self.arg.eval_many(pts)
+    def evaluate_many(self, pts):
+        den = self.arg.evaluate_many(pts)
         bad = np.abs(den) < _POLE_FLOOR
         if np.any(bad):
             idx = int(np.argmax(bad))
@@ -304,37 +304,17 @@ class Inv(Expr):
         return 1.0 / den
 
     def to_json(self):
-        return {"op": "inv", "args": [self.arg.to_json()]}
+        return {"op": "inv", "args": [expr_to_json(self.arg)]}
 
 
-@dataclass(frozen=True)
-class PolyExpr(Expr):
-    poly: Polynomial
-    op = "poly"
-
-    def eval_many(self, pts):
-        return self.poly.evaluate_many(pts)
-
-    def to_json(self):
-        return {"op": "poly", "args": [self.poly.to_json()]}
-
-
-CoefficientFunction = Union[Expr, Polynomial]
-
-
-def eval_coefficient(fn: CoefficientFunction, pts: np.ndarray) -> np.ndarray:
+def expr_to_json(fn: Expr | Polynomial) -> dict:
+    """JSON node of a coefficient function; a Polynomial is a "poly" node."""
     if isinstance(fn, Polynomial):
-        return fn.evaluate_many(pts)
-    return fn.eval_many(np.atleast_2d(np.asarray(pts, dtype=complex)))
-
-
-def expr_to_json(fn: CoefficientFunction) -> dict:
-    if isinstance(fn, Polynomial):
-        return PolyExpr(fn).to_json()
+        return {"op": "poly", "args": [fn.to_json()]}
     return fn.to_json()
 
 
-def expr_from_json(data: dict) -> Expr:
+def expr_from_json(data: dict) -> Expr | Polynomial:
     if not isinstance(data, dict) or "op" not in data:
         raise ValueError("expression node must be an object with an 'op' field")
     op = data["op"]
@@ -360,7 +340,7 @@ def expr_from_json(data: dict) -> Expr:
     if op == "inv":
         return Inv(expr_from_json(args[0]))
     if op == "poly":
-        return PolyExpr(Polynomial.from_json(args[0]))
+        return Polynomial.from_json(args[0])
     raise ValueError(f"unknown expression op {op!r}")
 
 
@@ -391,7 +371,7 @@ class Pseudopolynomial:
         out = np.empty((pts.shape[0], self.n), dtype=complex)
         for j, fn in enumerate(self.coeffs):
             try:
-                out[:, j] = eval_coefficient(fn, pts)
+                out[:, j] = fn.evaluate_many(pts)
             except Exception as exc:
                 raise ValueError(f"coefficient a_{j + 1} failed to evaluate: {exc}") from exc
         return out
@@ -401,11 +381,7 @@ class Pseudopolynomial:
 
     @staticmethod
     def from_json(data: dict) -> "Pseudopolynomial":
-        coeffs = []
-        for node in data["coeffs"]:
-            e = expr_from_json(node)
-            coeffs.append(e.poly if isinstance(e, PolyExpr) else e)
-        return Pseudopolynomial(int(data["n"]), tuple(coeffs))
+        return Pseudopolynomial(int(data["n"]), tuple(expr_from_json(c) for c in data["coeffs"]))
 
 
 def vieta_from_roots(roots) -> np.ndarray:

@@ -7,13 +7,16 @@ samples in the unit box.  The returned Polynomial keeps that affine map and
 the coefficients solved for, so a translated or rescaled compact gives the
 same approximation error; the plain least-squares fit is kept as a cheap
 upper bound on the discrete minimax error, which is all a rate argument needs.
+The result carries the approximant's values on the samples, from which its
+error is computed, so the forward pipeline solves the approximant's fibers
+from them without evaluating it again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -75,14 +78,16 @@ def _vandermonde(w: np.ndarray, exponents) -> np.ndarray:
 class ApproxResult:
     """A degree-<= d approximant with its discrete Chebyshev error.
 
-    error is recomputed from the returned polynomial after the solve, not
-    read off the solver residual.
+    values is poly evaluated on the samples, and error is max |f - values|:
+    recomputed from the returned polynomial after the solve, not read off
+    the solver residual.
     """
 
     poly: Polynomial
     error: float
     iterations: int
     rank: int
+    values: np.ndarray = field(repr=False)
 
 
 def best_approx(f_samples, points, d: int, mode: str = "minimax") -> ApproxResult:
@@ -96,8 +101,8 @@ def best_approx(f_samples, points, d: int, mode: str = "minimax") -> ApproxResul
 
     The fit runs in the per-coordinate unit-box coordinates of the samples,
     and the returned polynomial carries that center and scale with the
-    solved coefficients; its error is recomputed by evaluating it on the
-    samples.
+    solved coefficients.  It is evaluated on the samples once: those values
+    are returned, and the error is recomputed from them.
     """
     pts = points.points if isinstance(points, SampledCompact) else np.atleast_2d(
         np.asarray(points, dtype=complex)
@@ -160,8 +165,9 @@ def best_approx(f_samples, points, d: int, mode: str = "minimax") -> ApproxResul
                     break
 
     poly = Polynomial.from_terms(m, zip(exponents, best_coeffs), centers, scales)
-    err = float(np.abs(f - poly.evaluate_many(pts)).max())
-    return ApproxResult(poly=poly, error=err, iterations=iterations, rank=int(rank))
+    values = poly.evaluate_many(pts)
+    err = float(np.abs(f - values).max())
+    return ApproxResult(poly=poly, error=err, iterations=iterations, rank=int(rank), values=values)
 
 
 def scalar_bws_rate(f_samples, K: SampledCompact, d_range,

@@ -43,7 +43,7 @@ COMMANDS = ("forward", "converse", "scalar-bws", "counterexample", "closure-demo
 
 _FIELDS_COMMON = {"command", "out_dir", "tol"}
 _FIELDS_BY_COMMAND = {
-    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range", "store_multigraphs"},
+    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range"},
     "converse": {"from_forward", "multigraph_paths", "limit_path", "x0_index"},
     "scalar-bws": {"shape", "samples", "function", "d_range"},
     "counterexample": {"k_max", "mesh"},
@@ -77,7 +77,6 @@ class ExperimentConfig:
     multigraph_paths: list | None = None
     limit_path: str | None = None
     x0_index: int | None = None
-    store_multigraphs: bool = True
 
     def to_json(self) -> dict:
         out = {}
@@ -242,13 +241,11 @@ def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
             }
             for r in exp.records
         ],
+        "target_multigraph": exp.target.to_json(),
+        "approximant_multigraphs": [
+            {"d": r.d, "fibers": fibers_to_json(r.fibers)} for r in exp.records
+        ],
     }
-    if cfg.store_multigraphs:
-        payload["target_multigraph"] = exp.target.to_json()
-        payload["approximant_multigraphs"] = [
-            {"d": r.d, "fibers": fibers_to_json(r.fibers)}
-            for r in exp.records
-        ]
     _write_json(out / "results.json", payload)
     return 0 if exp.passed else 3
 
@@ -325,7 +322,7 @@ def _run_scalar(cfg: ExperimentConfig, out: Path) -> int:
     if cfg.function is None:
         raise ConfigError("field 'function' is required")
     fn = _parse_expr("function", cfg.function)
-    errors, fit = scalar_bws_rate(fn.eval_many(K.points), K, _d_list(cfg, K))
+    errors, fit = scalar_bws_rate(fn.evaluate_many(K.points), K, _d_list(cfg, K))
     _write_csv(out / "rates.csv", ["d", "error"], [[d, e] for d, e in errors])
     _write_csv(out / "plot_data.csv", ["d", "log10_error"],
                [[d, math.log10(max(e, 1e-300))] for d, e in errors])
@@ -369,7 +366,7 @@ def _run_closure(cfg: ExperimentConfig, out: Path) -> int:
     for nu in nu_list:
         _number("nu_list", nu, above=0.0)
     _number("box_height", cfg.box_height, above=0.0)
-    report = closure_failure_demo(nu_list, box_height=cfg.box_height, tol=0.05)
+    report = closure_failure_demo(nu_list, box_height=cfg.box_height)
     _write_csv(out / "fiber_growth.csv", ["box_height", "fiber_cardinality"],
                [[h, c] for h, c in zip(report.box_heights, report.fiber_counts)])
     checks = {
@@ -450,8 +447,6 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="execute an experiment config")
     runp.add_argument("config", help="path to the experiment config JSON")
     runp.add_argument("--out", default=None, help="output directory (overrides config)")
-    runp.add_argument("--mesh", type=float, default=None, help="override the config mesh")
-    runp.add_argument("--tol", type=float, default=None, help="override the solver tolerance")
     args = parser.parse_args(argv)
 
     try:
@@ -459,9 +454,6 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    for key, value in (("mesh", args.mesh), ("tol", args.tol)):
-        if value is not None:
-            raw[key] = value
     try:
         cfg = ExperimentConfig.from_json(raw)
     except (ConfigError, TypeError) as exc:

@@ -229,9 +229,9 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
             sup_match = max(sup_match, match_roots(fy, fw).bottleneck)
         matched_sup.append(sup_match)
         bound_r = max(sup_match, fit_floor)
-        per_k = product_bound_constants(n, R=R, r=bound_r, M=lemma.M)
+        # D depends on n, R and M only, so the lemma's D bounds every entry
         lemma_ok.append(bool(all(
-            coeff_errors[di, k] <= per_k.D[k] * bound_r * (1 + 1e-9) + 1e-12
+            coeff_errors[di, k] <= lemma.D[k] * bound_r * (1 + 1e-9) + 1e-12
             for k in range(n)
         )))
 

@@ -41,6 +41,8 @@ __all__ = [
 ]
 
 PI2_OVER_6 = math.pi ** 2 / 6.0
+# Kuratowski tolerance of the closure demo; its grids resolve CLOSURE_TOL / 5
+CLOSURE_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -191,7 +193,7 @@ def _clipped_lines(box_height: float, dt: float) -> np.ndarray:
     return np.vstack(rows).astype(complex)
 
 
-def closure_failure_demo(nu_list, box_height: float = 2.0, tol: float = 0.05) -> ClosureFailureReport:
+def closure_failure_demo(nu_list, box_height: float = 2.0) -> ClosureFailureReport:
     """Steepening parabola graphs t = nu (x^2 - 1/4) over [-1, 1] against
     their vertical-line limit {+-1/2} x C, clipped to |t| <= box_height.
 
@@ -200,13 +202,13 @@ def closure_failure_demo(nu_list, box_height: float = 2.0, tol: float = 0.05) ->
     height: no bounded-fiber multigraph can represent it.
     """
     nu_list = tuple(float(nu) for nu in nu_list)
-    dt = tol / 5.0
+    dt = CLOSURE_TOL / 5.0
     limit_pts = _clipped_lines(box_height, dt)
     limit = SampledCompact(limit_pts, mesh=dt / 2.0, ambient_diam=2.0 * box_height + 2.0)
 
     seq = []
     for nu in nu_list:
-        dx = min(2e-4, tol / (5.0 * nu))
+        dx = min(2e-4, CLOSURE_TOL / (5.0 * nu))
         pts = _parabola_points(nu, box_height, dx)
         # covering radius along the curve: spacing stretched by the max slope
         slope = 2.0 * nu
@@ -219,7 +221,7 @@ def closure_failure_demo(nu_list, box_height: float = 2.0, tol: float = 0.05) ->
     ts = np.arange(-0.5, 0.5 + dt / 2.0, dt)
     witness = np.column_stack([np.zeros_like(ts), ts]).astype(complex)
 
-    report = kuratowski_check(seq, limit, tol, witnesses=[witness])
+    report = kuratowski_check(seq, limit, CLOSURE_TOL, witnesses=[witness])
 
     heights = (box_height / 2.0, box_height, 2.0 * box_height)
     counts = tuple(int(np.ceil(2.0 * h / dt)) + 1 for h in heights)

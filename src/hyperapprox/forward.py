@@ -2,6 +2,12 @@
 standard compact K, build degree-d algebraic approximants (coefficient-wise
 best approximation), sample both zero multigraphs, and fit the decay of the
 fiberwise and graph Hausdorff distances across the degree range.
+
+The pipeline reads F once, as its (N, n) array of coefficient samples on K.
+That array gives the target multigraph, the fit floor's scale and every
+degree's fits; each approximant's coefficient samples are the values its
+fits already computed.  Target and approximants share one solve path,
+sample_multigraph.
 """
 
 from __future__ import annotations
@@ -27,7 +33,6 @@ from .sets_metrics import (
 __all__ = [
     "ForwardRecord",
     "ForwardExperiment",
-    "approximate_hypersurface",
     "sample_multigraph",
     "forward_rate_experiment",
 ]
@@ -35,42 +40,16 @@ __all__ = [
 SOLVER_TOL = 1e-12
 
 
-def _require_standard(K: SampledCompact):
-    if K.shape is None:
-        raise ValueError(
-            "K must carry a standard shape tag (declared polynomially convex)"
-        )
+def sample_multigraph(K: SampledCompact, coeffs: np.ndarray, tol: float = SOLVER_TOL) -> Multigraph:
+    """Zero multigraph over K of the monic polynomials whose coefficient
+    samples are coeffs, an (N, n) array with row i = (a_1(x_i), .., a_n(x_i)).
 
-
-def approximate_hypersurface(F: Pseudopolynomial, K: SampledCompact, d: int):
-    """Degree-d coefficient polynomials (a_1,d .. a_n,d) approximating F on K.
-
-    Each coefficient is minimax-approximated independently on the K
-    samples; the assembled monic polynomial with these coefficients is the
-    algebraic approximant of the zero multigraph.  Returns (polys, sup_errors).
+    The forward pipeline passes both the target's and each degree-d
+    approximant's coefficient samples through this one path.  Fibers carry
+    multiplicity.  Sample points where the solver fails to converge are
+    flagged and kept with their best iterate; callers exclude them from any
+    sup with a warning rather than aborting.
     """
-    _require_standard(K)
-    if d < 0:
-        raise ValueError("degree must be >= 0")
-    coeff_values = F.coefficients_at(K.points)
-    polys, errors = [], []
-    for j in range(F.n):
-        res = best_approx(coeff_values[:, j], K, d)
-        polys.append(res.poly)
-        errors.append(res.error)
-    return tuple(polys), tuple(errors)
-
-
-def sample_multigraph(F: Pseudopolynomial, K: SampledCompact, tol: float = SOLVER_TOL) -> Multigraph:
-    """Zero multigraph of the monic pseudopolynomial F sampled over K.
-
-    The forward pipeline passes both the target and each degree-d
-    approximant (a Pseudopolynomial of coefficient Polynomials) through this
-    one path.  Fibers carry multiplicity.  Sample points where the solver
-    fails to converge are flagged and kept with their best iterate; callers
-    exclude them from any sup with a warning rather than aborting.
-    """
-    coeffs = F.coefficients_at(K.points)
     roots, _res, _it, _tol, ok = solve_monic_batch(coeffs, tol)
     flagged = tuple(int(i) for i in np.nonzero(~ok)[0])
     if flagged:
@@ -127,15 +106,17 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
     tol * coefficient scale) since distances there measure rounding, not decay.
     """
     d_list = degree_list(d_range, F.n)
-    _require_standard(K)
+    if K.shape is None:
+        raise ValueError("K must carry a standard shape tag (declared polynomially convex)")
 
-    target = sample_multigraph(F, K, tol)
-    coeff_scale = max(1.0, float(np.abs(F.coefficients_at(K.points)).max()))
+    coeffs = F.coefficients_at(K.points)
+    target = sample_multigraph(K, coeffs, tol)
+    coeff_scale = max(1.0, float(np.abs(coeffs).max()))
     fit_floor = max(1e-13, 10.0 * tol * coeff_scale)
 
     def run_degree(d: int):
-        polys, errors = approximate_hypersurface(F, K, d)
-        approx_mg = sample_multigraph(Pseudopolynomial(F.n, polys), K, tol)
+        fits = [best_approx(coeffs[:, j], K, d) for j in range(F.n)]
+        approx_mg = sample_multigraph(K, np.column_stack([r.values for r in fits]), tol)
         keep = ~np.isin(np.arange(K.count), target.flagged + approx_mg.flagged)
         if not keep.any():
             raise RuntimeError(f"all sample points flagged at degree {d}")
@@ -143,8 +124,8 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
         return ForwardRecord(
             d=d,
             deg_bound=assembled_degree_bound(d, F.n),
-            coeff_polys=polys,
-            coeff_errors=errors,
+            coeff_polys=tuple(r.poly for r in fits),
+            coeff_errors=tuple(r.error for r in fits),
             delta=dist.delta,
             graph_dh=dist.graph_dh,
             flagged_count=int(K.count - keep.sum()),

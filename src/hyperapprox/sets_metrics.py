@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .extremal import Box, Disc, Polydisc, Segment, StandardShape, shape_from_json
 
@@ -80,12 +79,6 @@ class SampledCompact:
     @property
     def count(self) -> int:
         return self.points.shape[0]
-
-    def diameter(self) -> float:
-        if self.count < 2:
-            return 0.0
-        re = _to_real(self.points)
-        return float(cdist(re, re).max())
 
     def to_json(self) -> dict:
         return {
@@ -307,11 +300,8 @@ def kuratowski_check(seq, limit: SampledCompact, tol: float, witnesses=()) -> Ku
     if tol <= max(meshes):
         raise ValueError(f"tol {tol:.3e} must exceed the sampling mesh {max(meshes):.3e}")
     lim_re = _to_real(limit.points)
-
-    sup_dists = []
-    for s in seq:
-        s_re = _to_real(s.points)
-        sup_dists.append(_directed(lim_re, s_re))
+    trees = [cKDTree(_to_real(s.points)) for s in seq]
+    sup_dists = [float(np.max(tree.query(lim_re, k=1)[0])) for tree in trees]
     ok1 = [d <= tol for d in sup_dists]
     nu0 = tail_start(ok1)
     half = len(seq) // 2
@@ -321,12 +311,8 @@ def kuratowski_check(seq, limit: SampledCompact, tol: float, witnesses=()) -> Ku
     cond2 = True
     for w in witnesses:
         w_re = _to_real(_points_of(w))
-        mins = []
-        for s in seq:
-            tree = cKDTree(_to_real(s.points))
-            d, _ = tree.query(w_re, k=1)
-            mins.append(float(np.min(d)))
-        witness_mins.append(tuple(mins))
+        mins = tuple(float(np.min(tree.query(w_re, k=1)[0])) for tree in trees)
+        witness_mins.append(mins)
         okw = [d > tol for d in mins]
         start = tail_start(okw)
         cond2 = cond2 and start is not None and start <= half
@@ -454,13 +440,7 @@ def fit_geometric_rate(pairs, floor: float = RATE_FLOOR) -> RateFit:
 # samplers for the standard catalogue
 
 
-def _covering_radius(samples: np.ndarray, probe: np.ndarray) -> float:
-    tree = cKDTree(_to_real(samples))
-    d, _ = tree.query(_to_real(probe), k=1)
-    return float(np.max(d))
-
-
-def sample_segment(a: complex, b: complex, count: int, ambient_diam: float | None = None) -> SampledCompact:
+def sample_segment(a: complex, b: complex, count: int) -> SampledCompact:
     """Uniform sample of the segment [a, b] in C, endpoints included."""
     if count < 2:
         raise ValueError("need at least 2 samples")
@@ -468,9 +448,7 @@ def sample_segment(a: complex, b: complex, count: int, ambient_diam: float | Non
     pts = (a + (b - a) * ts).reshape(-1, 1).astype(complex)
     mesh = abs(b - a) / (2.0 * (count - 1))
     shape = Segment(a, b)
-    return SampledCompact(pts, mesh=mesh,
-                          ambient_diam=ambient_diam if ambient_diam is not None else shape.diameter(),
-                          shape=shape)
+    return SampledCompact(pts, mesh=mesh, ambient_diam=shape.diameter(), shape=shape)
 
 
 def sample_disc(center: complex, radius: float, grid_n: int = 41) -> SampledCompact:
@@ -490,8 +468,9 @@ def sample_disc(center: complex, radius: float, grid_n: int = 41) -> SampledComp
     pz = px.ravel() + 1j * py.ravel()
     pz = pz[np.abs(pz) <= radius] + center
     shape = Disc(center, radius)
-    return SampledCompact(pts.reshape(-1, 1), mesh=_covering_radius(pts.reshape(-1, 1), pz.reshape(-1, 1)),
-                          ambient_diam=shape.diameter(), shape=shape)
+    # covering radius: farthest probe point of the disc from the samples
+    mesh = _directed(_to_real(pz.reshape(-1, 1)), _to_real(pts.reshape(-1, 1)))
+    return SampledCompact(pts.reshape(-1, 1), mesh=mesh, ambient_diam=shape.diameter(), shape=shape)
 
 
 def sample_circle(center: complex, radius: float, count: int = 128) -> SampledCompact:

@@ -12,7 +12,6 @@ from hyperapprox.algebra import (
     Inv,
     Mul,
     Neg,
-    PolyExpr,
     Polynomial,
     Pseudopolynomial,
     assembled_degree_bound,
@@ -160,7 +159,7 @@ def test_expression_json_round_trip():
     expr = Add((Mul((Const(3.0 - 1j), Coord(0))), Exp(Neg(Coord(1)))))
     again = expr_from_json(expr.to_json())
     pts = np.array([[0.3 + 0.1j, -0.2j]])
-    np.testing.assert_allclose(again.eval_many(pts), expr.eval_many(pts))
+    np.testing.assert_allclose(again.evaluate_many(pts), expr.evaluate_many(pts))
 
 
 def test_expression_json_rejects_unknown_op():
@@ -171,9 +170,23 @@ def test_expression_json_rejects_unknown_op():
 def test_poly_expr_round_trip():
     p = Polynomial.from_coeffs_1d([1.0, 0.0, -2.0])
     node = expr_to_json(p)
+    assert node == {"op": "poly", "args": [p.to_json()]}
     again = expr_from_json(node)
-    assert isinstance(again, PolyExpr)
-    assert again.poly == p
+    assert isinstance(again, Polynomial)
+    assert again == p
+
+
+def test_pseudopolynomial_polynomial_coefficient_json_round_trip():
+    p = Polynomial.from_terms(1, [((0,), 1.0), ((2,), -0.5j)], center=[0.5], scale=[2.0])
+    F = Pseudopolynomial(2, (p, Add((p, Exp(Coord(0))))))
+    data = json.loads(json.dumps(F.to_json()))
+    # a Polynomial is written as a "poly" node, also inside an expression
+    assert data["coeffs"][0] == {"op": "poly", "args": [p.to_json()]}
+    assert data["coeffs"][1]["args"][0] == data["coeffs"][0]
+    again = Pseudopolynomial.from_json(data)
+    assert again.coeffs[0] == p and again.coeffs[1].args[0] == p
+    pts = np.array([[0.3 + 0.1j], [-0.7]])
+    assert np.array_equal(again.coefficients_at(pts), F.coefficients_at(pts))
 
 
 def test_affine_map_evaluates_in_its_coordinates():

@@ -162,3 +162,12 @@ def test_translated_segment_keeps_its_map():
     assert res.poly.center == (10.0 + 0j,) and res.poly.scale == (1.0,)
     # the error is that of the returned polynomial
     assert res.error == np.abs(np.exp(x - 10.0) - res.poly.evaluate_many(K.points)).max()
+
+
+@pytest.mark.parametrize("mode", ["minimax", "least-squares"])
+def test_values_are_the_polynomial_on_the_samples(mode):
+    K = sample_box([(-1.0, 2.0), (0.0, 1.0)], 9)
+    f = np.exp(K.points[:, 0] * K.points[:, 1]) + 1j * np.sin(K.points[:, 0])
+    res = best_approx(f, K, 4, mode=mode)
+    assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
+    assert res.error == np.abs(f - res.values).max()

@@ -57,6 +57,8 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
+_STAIRCASE = {"command": "counterexample", "k_max": 8}
+
 SCALAR_CFG = {
     "command": "scalar-bws",
     "shape": {"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]},
@@ -72,7 +74,11 @@ SCALAR_CFG = {
     (dict(SCALAR_CFG, mode="minimax"), [], "unknown field 'mode'"),
     ({"command": "converse", "n": 2}, [], "unknown field 'n'"),
     (FORWARD_CFG, ["--seed", "1"], "unrecognized arguments: --seed"),
-], ids=["seed", "forward-mode", "scalar-mode", "converse-n", "seed-flag"])
+    (dict(FORWARD_CFG, store_multigraphs=True), [], "unknown field 'store_multigraphs'"),
+    (_STAIRCASE, ["--mesh", str(2.0 ** -12)], "unrecognized arguments: --mesh"),
+    (FORWARD_CFG, ["--tol", "1e-10"], "unrecognized arguments: --tol"),
+], ids=["seed", "forward-mode", "scalar-mode", "converse-n", "seed-flag",
+        "store-multigraphs", "mesh-flag", "tol-flag"])
 def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, message):
     if cfg["command"] == "converse":
         cfg = dict(cfg, from_forward=forward_results)
@@ -82,7 +88,6 @@ def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, 
 
 
 _SEVEN_ROOTS = [{"op": "const", "args": [0.0, 0.0]}] * 6 + [{"op": "const", "args": [-1.0, 0.0]}]
-_STAIRCASE = {"command": "counterexample", "k_max": 8}
 _CLOSURE = {"command": "closure-demo"}
 _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0}}
 
@@ -265,15 +270,6 @@ def test_converse_multigraph_file_unlike_limit_exits_2(multigraph_files, tmp_pat
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
-
-
-def test_mesh_flag_overrides_config(tmp_path):
-    cfg = {"command": "counterexample", "k_max": 8, "mesh": 2.0 ** -11}
-    out = tmp_path / "out"
-    code = main(["run", _write_cfg(tmp_path, cfg), "--out", str(out), "--mesh", str(2.0 ** -12)])
-    assert code == 0
-    results = json.loads((out / "results.json").read_text())
-    assert results["config"]["mesh"] == 2.0 ** -12
 
 
 def test_numerical_failure_exits_3(tmp_path):

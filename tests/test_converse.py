@@ -61,14 +61,14 @@ def test_lemma_bound_brute_force():
 
 def test_detect_covering_number_from_pipeline(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))  # fibers {1, -1} everywhere
-    mg = sample_multigraph(F, K401)
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
     w_seq = [mg, mg, mg, mg]
     assert detect_covering_number(w_seq, 2, x0_index=0) == 2
 
 
 def test_detect_covering_number_rejects_spurious_branch(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
-    mg = sample_multigraph(F, K401)
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
     bloated = Multigraph(K401, tuple(np.append(f, 5.0) for f in mg.fibers), 3)
     with pytest.raises(CoveringNumberError):
         detect_covering_number([bloated], 2, x0_index=0)
@@ -78,7 +78,7 @@ def test_detect_covering_number_needs_separated_point():
     # fibers of t^2 - x: double root at x = 0, simple roots at x = 1
     base = SampledCompact(np.array([[0.0], [1.0]], dtype=complex), mesh=0.5, ambient_diam=2.0)
     F = Pseudopolynomial(2, (Const(0.0), Neg(Coord(0))))
-    mg = sample_multigraph(F, base)
+    mg = sample_multigraph(base, F.coefficients_at(base.points))
     with pytest.raises(CoveringNumberError):
         detect_covering_number([mg], 2, x0_index=0)
     assert detect_covering_number([mg], 2, x0_index=1) == 2
@@ -110,7 +110,7 @@ def test_reconstruct_matches_stored_coeff_polys(exp_round_trip, K401):
 def test_perturbed_fibers_stay_within_product_bounds(K401):
     rng = np.random.default_rng(59)
     F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))
-    mg = sample_multigraph(F, K401)
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
     base_coeffs = reconstruct_coefficients(mg, 2)
     R = float(np.abs(np.concatenate(mg.fibers)).max()) + 0.1
     for r in (1e-3, 1e-6):
@@ -153,7 +153,7 @@ def test_round_trip_coefficient_errors_track_delta(exp_round_trip):
 
 def test_constant_sequence_trivially_geometric(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
-    mg = sample_multigraph(F, K401)
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
     w_seq = [mg] * 8
     res = converse_experiment(w_seq, mg)
     assert res.verdict == "holomorphic-witness"
@@ -162,8 +162,9 @@ def test_constant_sequence_trivially_geometric(K401):
 
 def test_sequence_on_another_base_rejected(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
-    mg = sample_multigraph(F, K401)
-    other = sample_multigraph(F, sample_segment(0.0, 2.0, 401))
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
+    K2 = sample_segment(0.0, 2.0, 401)
+    other = sample_multigraph(K2, F.coefficients_at(K2.points))
     with pytest.raises(ValueError, match="base sample"):
         converse_experiment([mg] * 7 + [other], mg)
 
@@ -174,7 +175,7 @@ def test_witness_degree_fits_box_samples():
     # reproduces t^2 - (x0^2 + 2) exactly
     K = sample_box([(-1.0, 1.0), (-1.0, 1.0)], 3)
     a2 = Polynomial.from_terms(2, [((0, 0), -2.0), ((2, 0), -1.0)])
-    mg = sample_multigraph(Pseudopolynomial(2, (Const(0.0), a2)), K)
+    mg = sample_multigraph(K, Pseudopolynomial(2, (Const(0.0), a2)).coefficients_at(K.points))
     res = converse_experiment([mg] * 8, mg)
     assert res.verdict == "holomorphic-witness"
     for p, want in zip(res.reconstructed.coeffs, (0.0, a2.evaluate_many(K.points))):
@@ -183,7 +184,7 @@ def test_witness_degree_fits_box_samples():
 
 def test_slow_sequence_rejected_before_reconstruction(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
-    mg = sample_multigraph(F, K401)
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
     # every fiber offset by 1/d^2: the distances decay polynomially
     w_seq = [Multigraph(K401, mg.fibers + 1.0 / d ** 2, 2) for d in range(1, 11)]
     with pytest.raises(ValueError, match="not geometric"):

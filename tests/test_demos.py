@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hyperapprox.demos import (
+    CLOSURE_TOL,
     PI2_OVER_6,
     build_counterexample,
     closure_failure_demo,
@@ -139,7 +140,7 @@ def test_closure_demo_points_on_curve():
 
 
 def test_closure_demo_report():
-    rep = closure_failure_demo([10, 100, 1000], box_height=2.0, tol=0.05)
+    rep = closure_failure_demo([10, 100, 1000], box_height=2.0)
     assert rep.kuratowski.cond1
     assert rep.kuratowski.cond2
     counts = rep.fiber_counts
@@ -147,9 +148,9 @@ def test_closure_demo_report():
 
 
 def test_closure_demo_first_member_not_yet_close():
-    rep = closure_failure_demo([10, 100, 1000], box_height=2.0, tol=0.05)
+    rep = closure_failure_demo([10, 100, 1000], box_height=2.0)
     sups = rep.kuratowski.per_step_sup
-    assert sups[0] > 0.05 and sups[-1] <= 0.05
+    assert sups[0] > CLOSURE_TOL and sups[-1] <= CLOSURE_TOL
 
 
 def test_build_counterexample_requires_kmax():

@@ -3,11 +3,7 @@ import pytest
 
 from hyperapprox.algebra import Const, Coord, Exp, Neg, Polynomial, Pseudopolynomial
 from hyperapprox.chebyshev import best_approx
-from hyperapprox.forward import (
-    approximate_hypersurface,
-    forward_rate_experiment,
-    sample_multigraph,
-)
+from hyperapprox.forward import forward_rate_experiment, sample_multigraph
 from hyperapprox.roots import hoelder_check, match_roots
 from hyperapprox.sets_metrics import sample_circle, sample_segment
 
@@ -27,19 +23,37 @@ def test_algebraic_input_hits_floor(K401):
     # coefficients already polynomial of degree <= 3: approximation is exact
     a2 = Polynomial.from_coeffs_1d([-3.0, 0.0, 0.0, -1.0])  # -(x^3 + 3)
     F = Pseudopolynomial(2, (Const(0.0), a2))
-    polys, errors = approximate_hypersurface(F, K401, 5)
-    assert max(errors) <= 1e-10
+    coeffs = F.coefficients_at(K401.points)
+    assert max(best_approx(coeffs[:, j], K401, 5).error for j in range(2)) <= 1e-10
     exp = forward_rate_experiment(F, K401, range(3, 13))
     assert max(r.delta for r in exp.records) <= 1e-10
     assert exp.delta_fit.theta == 0.0
     assert exp.delta_fit.verdict == "geometric"
 
 
-def test_coefficient_error_equals_scalar_best_approx(K401):
-    F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))
-    _, errors = approximate_hypersurface(F, K401, 8)
+def test_coefficient_error_equals_scalar_best_approx(exp_experiment, K401):
+    # exp_experiment's F is t^2 - e^x
+    (rec,) = [r for r in exp_experiment.records if r.d == 8]
     direct = best_approx(-np.exp(K401.points[:, 0]), K401, 8).error
-    assert errors[1] == pytest.approx(direct, rel=1e-9)
+    assert rec.coeff_errors[1] == pytest.approx(direct, rel=1e-9)
+
+
+def test_forward_evaluates_F_once(K401, monkeypatch):
+    calls = []
+    original = Pseudopolynomial.coefficients_at
+
+    def counted(self, pts):
+        calls.append(self)
+        return original(self, pts)
+
+    monkeypatch.setattr(Pseudopolynomial, "coefficients_at", counted)
+    F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))
+    exp = forward_rate_experiment(F, K401, range(2, 8))
+    assert calls == [F]
+    # each approximant's fibers solve the coefficient values its fits computed
+    for rec in exp.records:
+        vals = np.column_stack([p.evaluate_many(K401.points) for p in rec.coeff_polys])
+        assert np.array_equal(rec.fibers, sample_multigraph(K401, vals).fibers)
 
 
 def test_singleton_fibers_reduce_to_sup_norm(K401):
@@ -55,7 +69,7 @@ def test_requires_standard_shape():
     circle = sample_circle(0.0, 1.0, 64)
     F = Pseudopolynomial(1, (Const(0.0),))
     with pytest.raises(ValueError, match="shape"):
-        approximate_hypersurface(F, circle, 3)
+        forward_rate_experiment(F, circle, range(0, 6))
 
 
 def test_requires_degree_span(K401):
@@ -66,7 +80,7 @@ def test_requires_degree_span(K401):
 
 def test_sample_multigraph_constant_fibers(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))  # t^2 - 1
-    mg = sample_multigraph(F, K401)
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
     for fib in mg.fibers:
         np.testing.assert_allclose(sorted(fib, key=lambda z: z.real), [-1.0, 1.0], atol=1e-10)
 
@@ -74,7 +88,7 @@ def test_sample_multigraph_constant_fibers(K401):
 def test_sample_multigraph_square_root_fibers():
     circle = sample_circle(0.0, 1.0, 64)
     F = Pseudopolynomial(2, (Const(0.0), Neg(Coord(0))))  # t^2 - x
-    mg = sample_multigraph(F, circle)
+    mg = sample_multigraph(circle, F.coefficients_at(circle.points))
     for x, fib in zip(circle.points[:, 0], mg.fibers):
         r = np.sqrt(x)
         got = sorted(fib, key=lambda z: (z.real, z.imag))
