@@ -5,12 +5,20 @@ Polynomials use a dense term list in graded-lexicographic order over the
 coordinates of a per-variable affine map (identity by default), so an
 approximant keeps the well-scaled coordinates it was fitted in; the zero
 polynomial has degree -1.
+
+A coefficient expression is one frozen node type, Expr(op, args).  One op
+table gives each op's kind and count of arguments and how its value is
+computed; construction checks against it, and evaluate_many, to_json and
+expr_from_json read it, so a new op is one table entry.  A Polynomial is
+the trees' "poly" leaf.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -32,6 +40,7 @@ __all__ = [
     "assembled_degree_bound",
     "expr_from_json",
     "expr_to_json",
+    "check_num_vars",
 ]
 
 _POLE_FLOOR = 1e-13
@@ -175,136 +184,92 @@ class Polynomial:
 # coefficient expression trees
 
 
-class Expr:
-    """Base class for coefficient expressions C^m -> C.
+def _reciprocal(pts, den):
+    bad = np.abs(den) < _POLE_FLOOR
+    if np.any(bad):
+        idx = int(np.argmax(bad))
+        raise ValueError(
+            f"reciprocal hit a pole: |denominator|={abs(den[idx]):.3e} at point index {idx}"
+        )
+    return 1.0 / den
 
-    The supported operations are constants, coordinates, sums, products,
-    negation, exp, sin, cos and reciprocals (the caller guarantees the
-    reciprocal's argument has no zero on the evaluation domain); a
-    Polynomial is the "poly" leaf.  Every coefficient function, expression
-    or Polynomial, evaluates an (N, m) point array through evaluate_many.
+
+def _is_fn(a) -> bool:
+    return isinstance(a, (Expr, Polynomial))
+
+
+# argument kind -> (fewest args, most args, what the args must be, test of
+# one argument of an Expr node)
+_KINDS = {
+    "number": (1, 2, "one or two finite real numbers",
+               lambda a: type(a) in (int, float) and math.isfinite(a)),
+    "index": (1, 1, "one non-negative integer", lambda a: type(a) is int and a >= 0),
+    "child": (1, 1, "one expression", _is_fn),
+    "children": (0, math.inf, "a list of expressions", _is_fn),
+    "poly": (1, 1, "one polynomial object", None),
+}
+
+# op -> (argument kind, value at the points from the node's arguments, each
+# child already evaluated there); n-ary ops fold from 0 or 1
+_OPS = {
+    "const": ("number", lambda pts, *c: np.full(pts.shape[0], complex(*c), dtype=complex)),
+    "coord": ("index", lambda pts, i: np.asarray(pts[:, i], dtype=complex)),
+    "add": ("children", lambda pts, *v: reduce(operator.add, v, np.zeros(pts.shape[0], complex))),
+    "mul": ("children", lambda pts, *v: reduce(operator.mul, v, np.ones(pts.shape[0], complex))),
+    "neg": ("child", lambda pts, v: -v),
+    "exp": ("child", lambda pts, v: np.exp(v)),
+    "sin": ("child", lambda pts, v: np.sin(v)),
+    "cos": ("child", lambda pts, v: np.cos(v)),
+    "inv": ("child", _reciprocal),
+    "poly": ("poly", None),  # read as the bare Polynomial, which evaluates itself
+}
+
+
+@dataclass(frozen=True)
+class Expr:
+    """Coefficient expression C^m -> C: an op from the op table and its args.
+
+    Leaf ops hold numbers: "const" its real part and optionally its
+    imaginary part, "coord" a coordinate index.  The other ops hold child
+    coefficient functions, expressions or Polynomials: "add" and "mul" any
+    number, "neg", "exp", "sin", "cos" and "inv" exactly one (the caller
+    keeps the reciprocal's argument clear of zeros on the evaluation
+    domain).  The table checks the args on construction; evaluate_many,
+    to_json and expr_from_json all read it, so a new op is one table entry.
+    A "poly" node reads and writes a bare Polynomial, which is the tree's
+    polynomial leaf.
     """
 
-    op = ""
+    op: str
+    args: tuple = ()
 
-    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
+    def __post_init__(self):
+        if self.op not in _OPS or self.op == "poly":
+            raise ValueError(f"no expression node has op {self.op!r}")
+        lo, hi, what, ok = _KINDS[_OPS[self.op][0]]
+        args = tuple(self.args)
+        if not (lo <= len(args) <= hi and all(map(ok, args))):
+            raise ValueError(f"op {self.op!r} takes {what}, got {list(args)!r}")
+        object.__setattr__(self, "args", args)
 
-    def to_json(self) -> dict:  # pragma: no cover
-        raise NotImplementedError
+    def evaluate_many(self, pts: np.ndarray) -> np.ndarray:
+        """Evaluate at an (N, m) array of points; returns (N,) complex."""
+        return _OPS[self.op][1](pts, *(a.evaluate_many(pts) if _is_fn(a) else a for a in self.args))
 
-
-@dataclass(frozen=True)
-class Const(Expr):
-    value: complex
-    op = "const"
-
-    def evaluate_many(self, pts):
-        return np.full(pts.shape[0], complex(self.value), dtype=complex)
-
-    def to_json(self):
-        v = complex(self.value)
-        return {"op": "const", "args": [v.real, v.imag]}
+    def to_json(self) -> dict:
+        return {"op": self.op, "args": [expr_to_json(a) if _is_fn(a) else a for a in self.args]}
 
 
-@dataclass(frozen=True)
-class Coord(Expr):
-    index: int
-    op = "coord"
-
-    def evaluate_many(self, pts):
-        if self.index >= pts.shape[1]:
-            raise ValueError(f"coordinate {self.index} out of range for m={pts.shape[1]}")
-        return np.asarray(pts[:, self.index], dtype=complex)
-
-    def to_json(self):
-        return {"op": "coord", "args": [self.index]}
-
-
-@dataclass(frozen=True)
-class Add(Expr):
-    args: tuple
-    op = "add"
-
-    def evaluate_many(self, pts):
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for a in self.args:
-            out = out + a.evaluate_many(pts)
-        return out
-
-    def to_json(self):
-        return {"op": "add", "args": [expr_to_json(a) for a in self.args]}
-
-
-@dataclass(frozen=True)
-class Mul(Expr):
-    args: tuple
-    op = "mul"
-
-    def evaluate_many(self, pts):
-        out = np.ones(pts.shape[0], dtype=complex)
-        for a in self.args:
-            out = out * a.evaluate_many(pts)
-        return out
-
-    def to_json(self):
-        return {"op": "mul", "args": [expr_to_json(a) for a in self.args]}
-
-
-def _unary(name):
-    fn = {"exp": np.exp, "sin": np.sin, "cos": np.cos}[name]
-
-    @dataclass(frozen=True)
-    class _U(Expr):
-        arg: Expr
-        op = name
-
-        def evaluate_many(self, pts):
-            return fn(self.arg.evaluate_many(pts))
-
-        def to_json(self):
-            return {"op": name, "args": [expr_to_json(self.arg)]}
-
-    _U.__name__ = name.capitalize()
-    return _U
-
-
-Exp = _unary("exp")
-Sin = _unary("sin")
-Cos = _unary("cos")
-
-
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
-    op = "neg"
-
-    def evaluate_many(self, pts):
-        return -self.arg.evaluate_many(pts)
-
-    def to_json(self):
-        return {"op": "neg", "args": [expr_to_json(self.arg)]}
-
-
-@dataclass(frozen=True)
-class Inv(Expr):
-    """Reciprocal of a subexpression; the domain must stay clear of its zeros."""
-
-    arg: Expr
-    op = "inv"
-
-    def evaluate_many(self, pts):
-        den = self.arg.evaluate_many(pts)
-        bad = np.abs(den) < _POLE_FLOOR
-        if np.any(bad):
-            idx = int(np.argmax(bad))
-            raise ValueError(
-                f"reciprocal hit a pole: |denominator|={abs(den[idx]):.3e} at point index {idx}"
-            )
-        return 1.0 / den
-
-    def to_json(self):
-        return {"op": "inv", "args": [expr_to_json(self.arg)]}
+# one-line constructors for building trees in Python
+def Const(value) -> Expr: return Expr("const", (complex(value).real, complex(value).imag))
+def Coord(index: int) -> Expr: return Expr("coord", (index,))
+def Add(args) -> Expr: return Expr("add", args)
+def Mul(args) -> Expr: return Expr("mul", args)
+def Neg(arg) -> Expr: return Expr("neg", (arg,))
+def Exp(arg) -> Expr: return Expr("exp", (arg,))
+def Sin(arg) -> Expr: return Expr("sin", (arg,))
+def Cos(arg) -> Expr: return Expr("cos", (arg,))
+def Inv(arg) -> Expr: return Expr("inv", (arg,))  # the domain must avoid arg's zeros
 
 
 def expr_to_json(fn: Expr | Polynomial) -> dict:
@@ -315,33 +280,36 @@ def expr_to_json(fn: Expr | Polynomial) -> dict:
 
 
 def expr_from_json(data: dict) -> Expr | Polynomial:
+    """Inverse of expr_to_json; raises ValueError on an unknown op or on args
+    the op table does not accept."""
     if not isinstance(data, dict) or "op" not in data:
         raise ValueError("expression node must be an object with an 'op' field")
-    op = data["op"]
-    args = data.get("args", [])
-    if op == "const":
-        if len(args) == 1:
-            return Const(complex(args[0]))
-        return Const(complex(args[0], args[1]))
-    if op == "coord":
-        return Coord(int(args[0]))
-    if op == "add":
-        return Add(tuple(expr_from_json(a) for a in args))
-    if op == "mul":
-        return Mul(tuple(expr_from_json(a) for a in args))
-    if op == "neg":
-        return Neg(expr_from_json(args[0]))
-    if op == "exp":
-        return Exp(expr_from_json(args[0]))
-    if op == "sin":
-        return Sin(expr_from_json(args[0]))
-    if op == "cos":
-        return Cos(expr_from_json(args[0]))
-    if op == "inv":
-        return Inv(expr_from_json(args[0]))
-    if op == "poly":
+    op, args = data["op"], data.get("args", [])
+    if op not in _OPS:
+        raise ValueError(f"unknown expression op {op!r}")
+    kind = _OPS[op][0]
+    lo, hi, what, _ = _KINDS[kind]
+    if type(args) is not list or not lo <= len(args) <= hi:
+        raise ValueError(f"op {op!r} takes {what}, got {args!r}")
+    if kind == "poly":
         return Polynomial.from_json(args[0])
-    raise ValueError(f"unknown expression op {op!r}")
+    if kind in ("child", "children"):
+        args = map(expr_from_json, args)
+    return Expr(op, tuple(args))
+
+
+def check_num_vars(fn: Expr | Polynomial, m: int) -> None:
+    """Raise ValueError unless fn is a function on C^m: every coord index is
+    below m and every poly leaf has m variables."""
+    if isinstance(fn, Polynomial):
+        if fn.num_vars != m:
+            raise ValueError(f"a poly leaf has m={fn.num_vars}, but the compact has m={m}")
+    elif fn.op == "coord" and fn.args[0] >= m:
+        raise ValueError(f"coordinate {fn.args[0]} out of range for m={m}")
+    else:
+        for a in fn.args:
+            if _is_fn(a):
+                check_num_vars(a, m)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algebra import Pseudopolynomial, expr_from_json
+from .algebra import Pseudopolynomial, check_num_vars, expr_from_json
 from .chebyshev import basis_dimension, scalar_bws_rate
 from .converse import converse_experiment
 from .demos import closure_failure_demo, counterexample_rates
@@ -41,10 +41,10 @@ __all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
 
 COMMANDS = ("forward", "converse", "scalar-bws", "counterexample", "closure-demo", "extremal")
 
-_FIELDS_COMMON = {"command", "out_dir", "tol"}
+_FIELDS_COMMON = {"command", "out_dir"}
 _FIELDS_BY_COMMAND = {
-    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range"},
-    "converse": {"from_forward", "multigraph_paths", "limit_path", "x0_index"},
+    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range", "tol"},
+    "converse": {"from_forward", "multigraph_paths", "limit_path", "x0_index", "tol"},
     "scalar-bws": {"shape", "samples", "function", "d_range"},
     "counterexample": {"k_max", "mesh"},
     "closure-demo": {"nu_list", "box_height"},
@@ -168,21 +168,24 @@ def _rate_fit_json(fit) -> dict:
     }
 
 
-def _parse_expr(field: str, data):
+def _parse_expr(field: str, data, m: int):
+    """The coefficient function in data, checked to be a function on C^m."""
     try:
-        return expr_from_json(data)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+        fn = expr_from_json(data)
+        check_num_vars(fn, m)
+        return fn
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"field {field!r} is invalid: {exc}") from exc
 
 
-def _parse_pseudopolynomial(cfg: ExperimentConfig) -> Pseudopolynomial:
+def _parse_pseudopolynomial(cfg: ExperimentConfig, m: int) -> Pseudopolynomial:
     if cfg.fiber_degree is None or cfg.coefficients is None:
         raise ConfigError("fields 'fiber_degree' and 'coefficients' are required")
     if type(cfg.coefficients) is not list or len(cfg.coefficients) != cfg.fiber_degree:
         raise ConfigError(
             f"field 'coefficients' must list exactly fiber_degree={cfg.fiber_degree} entries"
         )
-    coeffs = tuple(_parse_expr("coefficients", c) for c in cfg.coefficients)
+    coeffs = tuple(_parse_expr("coefficients", c, m) for c in cfg.coefficients)
     return Pseudopolynomial(cfg.fiber_degree, coeffs)
 
 
@@ -207,7 +210,7 @@ def _d_list(cfg: ExperimentConfig, K: SampledCompact, top_at_least: int = 0) -> 
 
 def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
     K = _build_compact(cfg)
-    F = _parse_pseudopolynomial(cfg)
+    F = _parse_pseudopolynomial(cfg, K.m)
     exp = forward_rate_experiment(F, K, _d_list(cfg, K, top_at_least=F.n), tol=cfg.tol)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(F.n)] + ["delta", "graph_dh"]
     rows = [[r.d, *[float(e) for e in r.coeff_errors], r.delta, r.graph_dh] for r in exp.records]
@@ -321,7 +324,7 @@ def _run_scalar(cfg: ExperimentConfig, out: Path) -> int:
     K = _build_compact(cfg)
     if cfg.function is None:
         raise ConfigError("field 'function' is required")
-    fn = _parse_expr("function", cfg.function)
+    fn = _parse_expr("function", cfg.function, K.m)
     errors, fit = scalar_bws_rate(fn.evaluate_many(K.points), K, _d_list(cfg, K))
     _write_csv(out / "rates.csv", ["d", "error"], [[d, e] for d, e in errors])
     _write_csv(out / "plot_data.csv", ["d", "log10_error"],
@@ -421,7 +424,7 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    _number("tol", config.tol, above=0.0)
+    _number("tol", config.tol, above=0.0)  # forward and converse read it
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own code paths: mpmath's
 extended-precision polyroots for root solving, exhaustive permutations for
 bottleneck matching, grid search for the best constant approximation, the
-three-term Chebyshev recurrence for extremal-function growth, and exact
-point-to-segment distances for the Hausdorff distance of polylines.
+three-term Chebyshev recurrence for extremal-function growth, exact
+point-to-segment distances for the Hausdorff distance of polylines, and a
+direct walk of the JSON expression tree for coefficient functions.
 """
 
 from __future__ import annotations
@@ -123,3 +124,54 @@ def polyline_hausdorff(p, q) -> float:
     q = np.asarray(q, dtype=float)
     return float(max(_distances_to_segments(_arc_samples(p), q).max(),
                      _distances_to_segments(_arc_samples(q), p).max()))
+
+
+def eval_expr_json(node: dict, pts: np.ndarray) -> np.ndarray:
+    """Value of a JSON coefficient expression at an (N, m) point array,
+    walking the JSON itself with the numpy ops the library documents.
+
+    Sums and products fold from 0 and 1 in argument order; a "poly" node is
+    summed term by term, each power built by repeated multiplication in the
+    node's affine coordinates.  Raises ZeroDivisionError where an "inv"
+    denominator has modulus below 1e-13, the library's pole floor.
+    """
+    op, args = node["op"], node["args"]
+    count = pts.shape[0]
+    if op == "const":
+        re, im = args if len(args) == 2 else (args[0], 0.0)
+        return np.full(count, complex(re, im), dtype=complex)
+    if op == "coord":
+        return pts[:, args[0]].astype(complex)
+    if op == "poly":
+        data = args[0]
+        w = pts.astype(complex)
+        if "center" in data:
+            w = (w - np.array([complex(*c) for c in data["center"]])) / np.array(data["scale"])
+        out = np.zeros(count, dtype=complex)
+        for exps, (re, im) in data["terms"]:
+            mono = np.full(count, complex(re, im), dtype=complex)
+            for i, e in enumerate(exps):
+                if e:
+                    power = np.ones(count, dtype=complex)
+                    for _ in range(e):
+                        power = power * w[:, i]
+                    mono = mono * power
+            out += mono
+        return out
+    vals = [eval_expr_json(a, pts) for a in args]
+    if op == "add":
+        out = np.zeros(count, dtype=complex)
+        for v in vals:
+            out = out + v
+        return out
+    if op == "mul":
+        out = np.ones(count, dtype=complex)
+        for v in vals:
+            out = out * v
+        return out
+    (v,) = vals
+    if op == "inv":
+        if np.any(np.abs(v) < 1e-13):
+            raise ZeroDivisionError("inv denominator at a pole")
+        return 1.0 / v
+    return {"neg": np.negative, "exp": np.exp, "sin": np.sin, "cos": np.cos}[op](v)

@@ -3,7 +3,10 @@ import json
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperapprox import algebra
 from hyperapprox.algebra import (
     Add,
     Const,
@@ -20,6 +23,7 @@ from hyperapprox.algebra import (
     vieta_from_roots,
 )
 from hyperapprox.roots import match_roots, solve_monic
+from tests.oracles import eval_expr_json
 
 
 def test_eval_constant_one():
@@ -223,3 +227,64 @@ def test_polynomial_json_rejects_bad_affine_map(extra):
     data = dict(Polynomial.from_coeffs_1d([1.0, 2.0]).to_json(), **extra)
     with pytest.raises(ValueError):
         Polynomial.from_json(data)
+
+
+_UNARY_OPS = ["neg", "exp", "sin", "cos", "inv"]
+_NARY_OPS = ["add", "mul"]
+_real = st.floats(-2.0, 2.0, allow_nan=False, width=64)
+_complex = st.builds(complex, _real, _real)
+
+
+@st.composite
+def _poly_node(draw):
+    """A "poly" node in two variables, as Polynomial.to_json writes it,
+    with or without an affine map."""
+    terms = draw(st.lists(st.tuples(st.tuples(st.integers(0, 3), st.integers(0, 3)), _complex),
+                          max_size=4))
+    affine = draw(st.booleans())
+    center = [draw(_complex) for _ in range(2)] if affine else ()
+    scale = [draw(st.floats(0.25, 4.0)) for _ in range(2)] if affine else ()
+    return expr_to_json(Polynomial.from_terms(2, terms, center, scale))
+
+
+_leaves = st.one_of(
+    st.builds(lambda c: {"op": "const", "args": c}, st.lists(_real, min_size=1, max_size=2)),
+    st.builds(lambda i: {"op": "coord", "args": [i]}, st.integers(0, 1)),
+    _poly_node(),
+)
+
+
+def _trees(depth: int):
+    """JSON expression trees over every op, at most depth levels above the leaves."""
+    if depth == 0:
+        return _leaves
+    sub = _trees(depth - 1)
+    return st.one_of(
+        _leaves,
+        st.builds(lambda op, a: {"op": op, "args": [a]}, st.sampled_from(_UNARY_OPS), sub),
+        st.builds(lambda op, a: {"op": op, "args": a}, st.sampled_from(_NARY_OPS),
+                  st.lists(sub, max_size=3)),
+    )
+
+
+_PTS = np.array([[0.3 + 0.1j, -0.7 + 0.2j], [-0.9, 0.45 - 0.6j], [0.05j, 1.1], [0.6 - 0.4j, -0.2j]])
+
+
+def test_expression_trees_cover_every_op():
+    assert set(algebra._OPS) == {"const", "coord", "poly", *_UNARY_OPS, *_NARY_OPS}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_trees(3))
+def test_expression_catalogue_round_trips_and_matches_json_oracle(node):
+    fn = expr_from_json(node)
+    assert expr_to_json(fn) == node
+    with np.errstate(all="ignore"):
+        try:
+            want = eval_expr_json(node, _PTS)
+        except ZeroDivisionError:
+            with pytest.raises(ValueError, match="pole"):
+                fn.evaluate_many(_PTS)
+            return
+        got = fn.evaluate_many(_PTS)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

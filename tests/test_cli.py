@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperapprox.cli import ConfigError, ExperimentConfig, main, run
+from hyperapprox.cli import COMMANDS, ConfigError, ExperimentConfig, main, run
 
 FORWARD_CFG = {
     "command": "forward",
@@ -77,8 +77,9 @@ SCALAR_CFG = {
     (dict(FORWARD_CFG, store_multigraphs=True), [], "unknown field 'store_multigraphs'"),
     (_STAIRCASE, ["--mesh", str(2.0 ** -12)], "unrecognized arguments: --mesh"),
     (FORWARD_CFG, ["--tol", "1e-10"], "unrecognized arguments: --tol"),
+    (dict(SCALAR_CFG, tol=0.5), [], "unknown field 'tol'"),
 ], ids=["seed", "forward-mode", "scalar-mode", "converse-n", "seed-flag",
-        "store-multigraphs", "mesh-flag", "tol-flag"])
+        "store-multigraphs", "mesh-flag", "tol-flag", "scalar-tol"])
 def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, message):
     if cfg["command"] == "converse":
         cfg = dict(cfg, from_forward=forward_results)
@@ -89,6 +90,20 @@ def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, 
 
 _SEVEN_ROOTS = [{"op": "const", "args": [0.0, 0.0]}] * 6 + [{"op": "const", "args": [-1.0, 0.0]}]
 _CLOSURE = {"command": "closure-demo"}
+_X0 = {"op": "coord", "args": [0]}
+
+
+def _scalar_fn(op, args):
+    return dict(SCALAR_CFG, function={"op": op, "args": args})
+
+
+def _poly_coefficient(poly):
+    return dict(FORWARD_CFG, coefficients=[{"op": "const", "args": [0.0, 0.0]},
+                                           {"op": "poly", "args": [poly]}])
+
+
+_LINE = {"m": 1, "terms": [[[1], [1.0, 0.0]]]}
+_PLANE = {"m": 2, "terms": [[[1, 0], [1.0, 0.0]]]}
 _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0}}
 
 
@@ -116,12 +131,25 @@ _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.
     (dict(_EXTREMAL, h=0.01), "h"),
     (dict(FORWARD_CFG, tol="x"), "tol"),
     (dict(FORWARD_CFG, tol=-1), "tol"),
+    (_scalar_fn("exp", [_X0, _X0]), "function"),
+    (_scalar_fn("coord", [0.7]), "function"),
+    (_scalar_fn("coord", [0, 4]), "function"),
+    (_scalar_fn("coord", [-1]), "function"),
+    (_scalar_fn("coord", [True]), "function"),
+    (_scalar_fn("const", [1.0, 2.0, 3.0]), "function"),
+    (_scalar_fn("const", ["2"]), "function"),
+    (_scalar_fn("const", [10 ** 400]), "function"),
+    (_scalar_fn("poly", [_LINE, _LINE]), "function"),
+    (_scalar_fn("coord", [1]), "function"),
+    (_poly_coefficient(_PLANE), "coefficients"),
 ], ids=["samples-str", "samples-1", "five-degrees", "five-distinct", "float-degree",
         "top-below-fiber-degree", "scalar-five-degrees", "function-no-args",
         "function-const-list", "function-poly-empty", "coefficients-int",
         "k_max-str", "k_max-1", "mesh-0", "mesh-negative", "mesh-coarse", "nu-zero",
         "box-height-negative", "grid-step-0", "grid-step-str", "h-below-grid", "tol-str",
-        "tol-negative"])
+        "tol-negative", "unary-two-children", "coord-float", "coord-two", "coord-negative",
+        "coord-bool", "const-three", "const-str", "const-huge-int", "poly-two", "coord-beyond-m",
+        "poly-m-mismatch"])
 def test_bad_samples_or_degrees_exit_2(tmp_path, capsys, cfg, field):
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     assert f"field '{field}'" in capsys.readouterr().err
@@ -391,3 +419,27 @@ def test_translated_segment_matches_unit_segment(tmp_path):
     coeffs_u = Pseudopolynomial.from_json(conv_u["reconstructed"]).coefficients_at(x - 10.0)
     assert np.abs(coeffs_t - coeffs_u).max() <= 1e-10
     assert np.abs(coeffs_t[:, 1] + np.exp(x[:, 0] - 10.0)).max() <= 1e-10
+
+
+def _readme_configs() -> list:
+    """Every config in the README's JSON blocks, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    decoder, configs = json.JSONDecoder(), []
+    for block in text.split("```json\n")[1:]:
+        block, pos = block.split("```")[0], 0
+        while block[pos:].strip():
+            pos += len(block[pos:]) - len(block[pos:].lstrip())
+            cfg, pos = decoder.raw_decode(block, pos)
+            configs.append(cfg)
+    return configs
+
+
+def test_readme_config_examples_run(tmp_path):
+    configs = _readme_configs()
+    assert sorted(cfg["command"] for cfg in configs) == sorted(COMMANDS)
+    forward_results = tmp_path / "forward" / "results.json"
+    for cfg in configs:
+        if cfg["command"] == "converse":
+            cfg = dict(cfg, from_forward=str(forward_results))
+        out = tmp_path / cfg["command"]
+        assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0, cfg["command"]
