@@ -17,7 +17,7 @@ import numpy as np
 
 from .algebra import Pseudopolynomial, vieta_from_roots
 from .chebyshev import basis_dimension, best_approx
-from .roots import match_roots, min_gaps
+from .roots import match_bottlenecks, min_gaps
 from .sets_metrics import (
     Multigraph,
     RateFit,
@@ -185,10 +185,12 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
     a geometric decay in d_values (1, 2, ... when omitted), otherwise the
     hypothesis fails and no reconstruction is attempted.  The verdict is
     holomorphic-witness when every reconstructed coefficient's sup error
-    decays geometrically.  The witness (reconstructed) is the least-squares
-    polynomial fit of the last multigraph's Vieta coefficients, at the
-    largest degree <= the last of d_values whose basis the base samples can
-    carry.  Regularity of the base compact is assumed, not checked here.
+    decays geometrically, rejected when some coefficient's fit is
+    not-geometric, and inconclusive otherwise (some fit has too few entries
+    above its floor, or too large a residual, to decide).  The witness
+    (reconstructed) is the least-squares polynomial fit of the last
+    multigraph's Vieta coefficients, at the largest degree <= the last of
+    d_values whose basis the base samples can carry.  Regularity of the base compact is assumed, not checked here.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
@@ -224,9 +226,7 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
     for di, w in enumerate(w_seq):
         rec = reconstruct_coefficients(w, n)
         coeff_errors[di] = np.abs(rec - target_coeffs).max(axis=0)
-        sup_match = 0.0
-        for fy, fw in zip(limit.fibers, w.fibers):
-            sup_match = max(sup_match, match_roots(fy, fw).bottleneck)
+        sup_match = float(match_bottlenecks(limit.fibers, w.fibers).max())
         matched_sup.append(sup_match)
         bound_r = max(sup_match, fit_floor)
         # D depends on n, R and M only, so the lemma's D bounds every entry
@@ -240,7 +240,6 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
         fit_geometric_rate(list(zip(d_values, coeff_errors[:, k])), floor=coeff_fit_floor)
         for k in range(n)
     )
-    all_geometric = all(f.verdict == "geometric" for f in coeff_fits)
     theta_env_ok = all(f.theta <= delta_fit.theta + 0.1 for f in coeff_fits)
 
     # the witness fits rec, the last multigraph's coefficient samples; those
@@ -253,7 +252,13 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
         best_approx(rec[:, k], base, fit_deg, mode="least-squares").poly for k in range(n)
     ))
 
-    verdict = "holomorphic-witness" if all_geometric else "rejected"
+    fit_verdicts = {f.verdict for f in coeff_fits}
+    if "not-geometric" in fit_verdicts:
+        verdict = "rejected"
+    elif "inconclusive" in fit_verdicts:
+        verdict = "inconclusive"
+    else:
+        verdict = "holomorphic-witness"
     return ConverseResult(
         n_detected=n_detected,
         d_values=d_values,

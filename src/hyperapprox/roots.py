@@ -5,6 +5,7 @@ perturbation bound |zeta^a_j - zeta^b_j| <= 4 n C |a - b|_inf^(1/n).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +189,28 @@ def match_roots(a_roots, b_roots) -> RootMatching:
     assert best_perm is not None  # full threshold always matches
     bottleneck = float(max(dists[i, best_perm[i]] for i in range(a.size)))
     return RootMatching(best_perm, bottleneck)
+
+
+def match_bottlenecks(y: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Bottleneck matching distance of each row pair of y, w (N, n).
+
+    For n <= 4 this is the minimum over all n! permutations of the row-wise
+    max of the gathered pairwise distances, one (N, n) gather per
+    permutation; larger n falls back to match_roots per row.  Either way
+    row i equals match_roots(y[i], w[i]).bottleneck bitwise: both take the
+    same entries of the same distance array.
+    """
+    nrows, n = y.shape
+    if w.shape != y.shape or n == 0:
+        raise ValueError(f"fiber arrays must share a shape (N, n >= 1), got {y.shape} and {w.shape}")
+    if n > 4:
+        return np.array([match_roots(a, b).bottleneck for a, b in zip(y, w)])
+    dists = np.abs(y[:, :, None] - w[:, None, :])
+    rows = np.arange(n)
+    best = np.full(nrows, np.inf)
+    for perm in itertools.permutations(range(n)):
+        np.minimum(best, dists[:, rows, perm].max(axis=1), out=best)
+    return best
 
 
 # ---------------------------------------------------------------------------

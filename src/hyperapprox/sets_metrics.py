@@ -93,6 +93,8 @@ class SampledCompact:
     def from_json(data: dict) -> "SampledCompact":
         m = int(data["m"])
         raw = np.asarray(data["points"], dtype=float)
+        if not np.all(np.isfinite(raw)):
+            raise ValueError("base points must be finite")
         if raw.size == 0:
             pts = np.zeros((0, m), dtype=complex)
         else:
@@ -112,14 +114,16 @@ def fibers_to_json(fibers: np.ndarray) -> list:
 def fibers_from_json(data) -> np.ndarray:
     """Inverse of fibers_to_json: a (N, n) complex array, built exactly.
 
-    Raises ValueError unless every fiber lists the same number of [re, im]
-    pairs.
+    Raises ValueError unless every fiber lists the same number of finite
+    [re, im] pairs.
     """
     raw = np.asarray(data, dtype=float)
     if raw.ndim != 3 or raw.shape[2] != 2:
         raise ValueError(
             f"fibers must be N lists of n [re, im] pairs, got an array of shape {raw.shape}"
         )
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("fiber values must be finite")
     return np.ascontiguousarray(raw).view(complex)[..., 0]
 
 

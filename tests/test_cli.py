@@ -351,6 +351,33 @@ def test_converse_malformed_multigraph_file_exit_2(tmp_path, capsys):
     assert str(bad_path) in capsys.readouterr().err
 
 
+def _nan_target_fiber(data):
+    data["target_multigraph"]["fibers"][17][0][1] = float("nan")
+
+
+def _nan_approximant_fiber(data):
+    data["approximant_multigraphs"][-1]["fibers"][17][1][0] = float("nan")
+
+
+def _nan_base_point(data):
+    data["target_multigraph"]["points"][17][0] = float("nan")
+
+
+@pytest.mark.parametrize("corrupt", [_nan_target_fiber, _nan_approximant_fiber, _nan_base_point],
+                         ids=["target-fiber", "approximant-fiber", "base-point"])
+def test_converse_non_finite_input_exits_2(forward_results, tmp_path, capsys, corrupt):
+    # a NaN read from the forward output is bad input, not a failed hypothesis
+    data = json.loads(Path(forward_results).read_text())
+    corrupt(data)
+    results_path = tmp_path / "results.json"
+    results_path.write_text(json.dumps(data))
+    cfg = {"command": "converse", "from_forward": str(results_path)}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(results_path) in err
+    assert "finite" in err
+
+
 @pytest.fixture(scope="module")
 def forward_results(tmp_path_factory):
     out = tmp_path_factory.mktemp("fwd")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hyperapprox import converse, roots
 from hyperapprox.algebra import Const, Coord, Exp, Neg, Polynomial, Pseudopolynomial
 from hyperapprox.converse import (
     CoveringNumberError,
@@ -10,6 +11,7 @@ from hyperapprox.converse import (
     reconstruct_coefficients,
 )
 from hyperapprox.forward import forward_rate_experiment, sample_multigraph
+from hyperapprox.roots import solve_monic_batch
 from hyperapprox.sets_metrics import (
     Multigraph,
     SampledCompact,
@@ -32,6 +34,25 @@ def exp_round_trip(K401):
     w_seq = [Multigraph(K401, r.fibers, 2) for r in fwd.records]
     res = converse_experiment(w_seq, fwd.target, d_values=[r.d for r in fwd.records])
     return fwd, res
+
+
+def _perturbed_sequence(K, coeffs, steps):
+    """Limit fibers of the monic coefficient rows coeffs (N, n) and, per row
+    of steps (num_d, n), the fibers of coeffs + steps[d]."""
+    limit = Multigraph(K, solve_monic_batch(coeffs)[0], coeffs.shape[1])
+    return limit, [Multigraph(K, solve_monic_batch(coeffs + step)[0], coeffs.shape[1]) for step in steps]
+
+
+@pytest.fixture(scope="module")
+def cubic_sequence():
+    # t^3 - (1 + x/4)^3: roots (1 + x/4) times the cube roots of unity, each coefficient
+    # perturbed by 0.1 * 2^-d in its own complex direction
+    K = sample_segment(-1.0, 1.0, 41)
+    x = K.points[:, 0].real
+    coeffs = np.column_stack([0 * x, 0 * x, -(1.0 + 0.25 * x) ** 3]).astype(complex)
+    steps = [0.1 * 0.5 ** d * np.array([1.0, 1j, -1.0]) for d in range(1, 11)]
+    limit, w_seq = _perturbed_sequence(K, coeffs, steps)
+    return w_seq, limit, tuple(range(1, 11))
 
 
 def test_lemma_constant_base_case():
@@ -225,3 +246,60 @@ def test_single_root_fibers_round_trip(tmp_path):
     results = json.loads((tmp_path / "conv" / "results.json").read_text())
     assert results["verdict"] == "holomorphic-witness"
     assert results["n_detected"] == 1
+
+
+def test_coefficient_at_floor_after_three_entries_is_inconclusive():
+    # a_1 is perturbed by 0.1 * 2^-d at every d, a_2 only at d <= 3: the a_2
+    # error sits on its floor from the fourth entry on, so its fit has 3
+    # usable entries and cannot decide, which is not a rejection
+    K = sample_segment(-1.0, 1.0, 21)
+    x = K.points[:, 0].real
+    coeffs = np.column_stack([0.3 * x, -(1.0 + 0.25 * x) ** 2]).astype(complex)
+    steps = [0.1 * 0.5 ** d * np.array([1.0, 0.01 if d <= 3 else 0.0]) for d in range(1, 13)]
+    limit, w_seq = _perturbed_sequence(K, coeffs, steps)
+    res = converse_experiment(w_seq, limit)
+    assert res.delta_fit.verdict == "geometric"
+    assert [f.verdict for f in res.coeff_fits] == ["geometric", "inconclusive"]
+    assert res.coeff_fits[1].n_used == 3
+    assert res.verdict == "inconclusive"
+    assert all(res.lemma_ok)
+
+
+@pytest.mark.parametrize("case", ["exp_round_trip", "cubic_sequence"])
+def test_converse_matches_without_match_roots(request, monkeypatch, case):
+    if case == "exp_round_trip":
+        fwd, _ = request.getfixturevalue(case)
+        w_seq = [Multigraph(fwd.target.base, r.fibers, 2) for r in fwd.records]
+        limit, d_values = fwd.target, [r.d for r in fwd.records]
+    else:
+        w_seq, limit, d_values = request.getfixturevalue(case)
+    assert limit.n <= 4
+    original = roots.match_roots
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    # converse must not reach match_roots through the roots module or a
+    # binding of its own
+    monkeypatch.setattr(roots, "match_roots", counted)
+    monkeypatch.setattr(converse, "match_roots", counted, raising=False)
+    res = converse_experiment(w_seq, limit, d_values=d_values)
+    assert calls == []
+
+    # reference: the per-fiber loop converse ran before the batched kernel
+    fit_floor = max(1e-13, 10.0 * 1e-12)
+    ref_sup, ref_ok = [], []
+    for di, w in enumerate(w_seq):
+        sup_match = 0.0
+        for fy, fw in zip(limit.fibers, w.fibers):
+            sup_match = max(sup_match, original(fy, fw).bottleneck)
+        ref_sup.append(sup_match)
+        bound_r = max(sup_match, fit_floor)
+        ref_ok.append(bool(all(
+            res.coeff_errors[di, k] <= res.lemma.D[k] * bound_r * (1 + 1e-9) + 1e-12
+            for k in range(limit.n)
+        )))
+    assert res.matched_sup == tuple(ref_sup)
+    assert res.lemma_ok == tuple(ref_ok)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hyperapprox.roots import (
     hoelder_check,
+    match_bottlenecks,
     match_roots,
     min_gaps,
     solve_monic,
@@ -117,6 +118,32 @@ def test_match_against_bruteforce():
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         b = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert match_roots(a, b).bottleneck == pytest.approx(brute_bottleneck(a, b), abs=1e-12)
+
+
+# a coarse grid forces repeated roots and exactly tied distances
+_grid_point = st.builds(complex, st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.sampled_from([0.0, 1.0]))
+
+
+@st.composite
+def _fiber_pairs(draw):
+    n = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 20))
+    point = st.one_of(_grid_point, _coeff)
+    y, w = (np.array(draw(st.lists(point, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
+            for _ in range(2))
+    return y, w
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_fiber_pairs())
+def test_match_bottlenecks_rows_equal_match_roots(pair):
+    # n = 5, 6 take the per-row fallback, n <= 4 the permutation minimum
+    y, w = pair
+    got = match_bottlenecks(y, w)
+    assert got.shape == (y.shape[0],)
+    for i in range(y.shape[0]):
+        assert got[i] == match_roots(y[i], w[i]).bottleneck
+        assert got[i] == pytest.approx(brute_bottleneck(y[i], w[i]), abs=1e-12)
 
 
 def test_match_symmetry():
