@@ -43,8 +43,8 @@ COMMANDS = ("forward", "converse", "scalar-bws", "counterexample", "closure-demo
 
 _FIELDS_COMMON = {"command", "out_dir"}
 _FIELDS_BY_COMMAND = {
-    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range", "tol"},
-    "converse": {"from_forward", "multigraph_paths", "limit_path", "x0_index", "tol"},
+    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range"},
+    "converse": {"from_forward", "multigraph_paths", "limit_path"},
     "scalar-bws": {"shape", "samples", "function", "d_range"},
     "counterexample": {"k_max", "mesh"},
     "closure-demo": {"nu_list", "box_height"},
@@ -60,7 +60,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     command: str
     out_dir: str = "results"
-    tol: float = 1e-12
     shape: dict | None = None
     samples: int = 401
     fiber_degree: int | None = None
@@ -76,7 +75,6 @@ class ExperimentConfig:
     from_forward: str | None = None
     multigraph_paths: list | None = None
     limit_path: str | None = None
-    x0_index: int | None = None
 
     def to_json(self) -> dict:
         out = {}
@@ -181,6 +179,7 @@ def _parse_expr(field: str, data, m: int):
 def _parse_pseudopolynomial(cfg: ExperimentConfig, m: int) -> Pseudopolynomial:
     if cfg.fiber_degree is None or cfg.coefficients is None:
         raise ConfigError("fields 'fiber_degree' and 'coefficients' are required")
+    _number("fiber_degree", cfg.fiber_degree, at_least=1, integer=True)
     if type(cfg.coefficients) is not list or len(cfg.coefficients) != cfg.fiber_degree:
         raise ConfigError(
             f"field 'coefficients' must list exactly fiber_degree={cfg.fiber_degree} entries"
@@ -211,7 +210,7 @@ def _d_list(cfg: ExperimentConfig, K: SampledCompact, top_at_least: int = 0) -> 
 def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
     K = _build_compact(cfg)
     F = _parse_pseudopolynomial(cfg, K.m)
-    exp = forward_rate_experiment(F, K, _d_list(cfg, K, top_at_least=F.n), tol=cfg.tol)
+    exp = forward_rate_experiment(F, K, _d_list(cfg, K, top_at_least=F.n))
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(F.n)] + ["delta", "graph_dh"]
     rows = [[r.d, *[float(e) for e in r.coeff_errors], r.delta, r.graph_dh] for r in exp.records]
     _write_csv(out / "rates.csv", header, rows)
@@ -275,6 +274,8 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
                 raise ConfigError("field 'from_forward' points at results without stored multigraphs")
             limit = Multigraph.from_json(data["target_multigraph"])
             entries = data["approximant_multigraphs"]
+            if not entries:
+                raise ValueError("'approximant_multigraphs' is empty")
             w_seq = [Multigraph(limit.base, fibers_from_json(e["fibers"]), limit.n) for e in entries]
             d_values = [int(e["d"]) for e in entries]
     elif cfg.multigraph_paths and cfg.limit_path:
@@ -289,11 +290,8 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
             "converse needs either field 'from_forward' or fields "
             "'multigraph_paths' + 'limit_path'"
         )
-    base, n = limit.base, limit.n
-    x0 = cfg.x0_index
-    if x0 is not None:
-        _number("x0_index", x0, at_least=0, at_most=base.count - 1, integer=True)
-    result = converse_experiment(w_seq, limit, x0_index=x0, d_values=d_values, solver_tol=cfg.tol)
+    n = limit.n
+    result = converse_experiment(w_seq, limit, d_values=d_values)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(n)]
     rows = [[d, *[float(e) for e in result.coeff_errors[i]]] for i, d in enumerate(result.d_values)]
     _write_csv(out / "rates.csv", header, rows)
@@ -424,7 +422,8 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    _number("tol", config.tol, above=0.0)  # forward and converse read it
+    if type(config.out_dir) is not str:
+        raise ConfigError(f"field 'out_dir' must be a path string, got {config.out_dir!r}")
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:

@@ -17,8 +17,9 @@ import numpy as np
 
 from .algebra import Pseudopolynomial, vieta_from_roots
 from .chebyshev import basis_dimension, best_approx
-from .roots import match_bottlenecks, min_gaps
+from .roots import DEFAULT_TOL, match_bottlenecks, min_gaps
 from .sets_metrics import (
+    RATE_FLOOR,
     Multigraph,
     RateFit,
     fiber_profile,
@@ -175,22 +176,23 @@ class ConverseResult:
     theta_envelope_ok: bool
 
 
-def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None,
-                        d_values=None, solver_tol: float = 1e-12) -> ConverseResult:
+def converse_experiment(w_seq, limit: Multigraph, *, d_values=None) -> ConverseResult:
     """Reconstruct coefficient data from a geometrically convergent sequence
     of algebraic multigraphs.
 
     Every multigraph must share the limit's base sample; the covering number
     is the limit's n.  The fiberwise distances of w_seq to the limit must fit
     a geometric decay in d_values (1, 2, ... when omitted), otherwise the
-    hypothesis fails and no reconstruction is attempted.  The verdict is
+    hypothesis fails and no reconstruction is attempted.  n is certified at
+    the base point whose limit fiber is best separated.  The verdict is
     holomorphic-witness when every reconstructed coefficient's sup error
     decays geometrically, rejected when some coefficient's fit is
     not-geometric, and inconclusive otherwise (some fit has too few entries
     above its floor, or too large a residual, to decide).  The witness
     (reconstructed) is the least-squares polynomial fit of the last
     multigraph's Vieta coefficients, at the largest degree <= the last of
-    d_values whose basis the base samples can carry.  Regularity of the base compact is assumed, not checked here.
+    d_values whose basis the base samples can carry.  Regularity of the
+    base compact is assumed, not checked here.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
@@ -203,7 +205,7 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
     d_values = tuple(int(d) for d in d_values)
 
     delta_pairs = [(d, float(fiber_profile(limit, w).max())) for d, w in zip(d_values, w_seq)]
-    fit_floor = max(1e-13, 10.0 * solver_tol)
+    fit_floor = max(RATE_FLOOR, 10.0 * DEFAULT_TOL)
     delta_fit = fit_geometric_rate(delta_pairs, floor=fit_floor)
     if delta_fit.verdict != "geometric":
         raise ValueError(
@@ -211,8 +213,7 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
             f"{delta_fit.verdict}, theta {delta_fit.theta:.3f}); hypothesis fails"
         )
 
-    if x0_index is None:
-        x0_index = int(np.argmax(min_gaps(limit.fibers)))
+    x0_index = int(np.argmax(min_gaps(limit.fibers)))
     n_detected = detect_covering_number(w_seq, n, x0_index, target_fiber=limit.fibers[x0_index])
 
     target_coeffs = reconstruct_coefficients(limit, n)
@@ -235,12 +236,13 @@ def converse_experiment(w_seq, limit: Multigraph, *, x0_index: int | None = None
             for k in range(n)
         )))
 
-    coeff_fit_floor = max(fit_floor, lemma.D[-1] * 10.0 * solver_tol)
+    coeff_fit_floor = max(fit_floor, lemma.D[-1] * 10.0 * DEFAULT_TOL)
     coeff_fits = tuple(
         fit_geometric_rate(list(zip(d_values, coeff_errors[:, k])), floor=coeff_fit_floor)
         for k in range(n)
     )
-    theta_env_ok = all(f.theta <= delta_fit.theta + 0.1 for f in coeff_fits)
+    # a fit from fewer than 4 entries reports a placeholder theta, not a fitted one
+    theta_env_ok = all(f.theta <= delta_fit.theta + 0.1 for f in coeff_fits if f.n_used >= 4)
 
     # the witness fits rec, the last multigraph's coefficient samples; those
     # of an algebraic multigraph of degree d are polynomial, so a

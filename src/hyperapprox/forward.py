@@ -19,8 +19,9 @@ import numpy as np
 
 from .algebra import Pseudopolynomial, assembled_degree_bound
 from .chebyshev import best_approx
-from .roots import min_gaps, solve_monic_batch
+from .roots import DEFAULT_TOL, min_gaps, solve_monic_batch
 from .sets_metrics import (
+    RATE_FLOOR,
     Multigraph,
     RateFit,
     SampledCompact,
@@ -37,10 +38,8 @@ __all__ = [
     "forward_rate_experiment",
 ]
 
-SOLVER_TOL = 1e-12
 
-
-def sample_multigraph(K: SampledCompact, coeffs: np.ndarray, tol: float = SOLVER_TOL) -> Multigraph:
+def sample_multigraph(K: SampledCompact, coeffs: np.ndarray) -> Multigraph:
     """Zero multigraph over K of the monic polynomials whose coefficient
     samples are coeffs, an (N, n) array with row i = (a_1(x_i), .., a_n(x_i)).
 
@@ -50,7 +49,7 @@ def sample_multigraph(K: SampledCompact, coeffs: np.ndarray, tol: float = SOLVER
     flagged and kept with their best iterate; callers exclude them from any
     sup with a warning rather than aborting.
     """
-    roots, _res, _it, _tol, ok = solve_monic_batch(coeffs, tol)
+    roots, _res, _it, _tol, ok = solve_monic_batch(coeffs)
     flagged = tuple(int(i) for i in np.nonzero(~ok)[0])
     if flagged:
         warnings.warn(f"root solver flagged {len(flagged)} sample point(s)", RuntimeWarning)
@@ -97,26 +96,25 @@ class ForwardExperiment:
         return all(self.checks.values())
 
 
-def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range,
-                            tol: float = SOLVER_TOL) -> ForwardExperiment:
+def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> ForwardExperiment:
     """Run the forward pipeline over a degree range and fit the decay rates.
 
     Requires at least 6 distinct degrees with max degree >= the fiber degree
     n.  The rate fits mask entries below the solver resolution floor (10 *
-    tol * coefficient scale) since distances there measure rounding, not decay.
+    DEFAULT_TOL * coefficient scale): distances there measure rounding.
     """
     d_list = degree_list(d_range, F.n)
     if K.shape is None:
         raise ValueError("K must carry a standard shape tag (declared polynomially convex)")
 
     coeffs = F.coefficients_at(K.points)
-    target = sample_multigraph(K, coeffs, tol)
+    target = sample_multigraph(K, coeffs)
     coeff_scale = max(1.0, float(np.abs(coeffs).max()))
-    fit_floor = max(1e-13, 10.0 * tol * coeff_scale)
+    fit_floor = max(RATE_FLOOR, 10.0 * DEFAULT_TOL * coeff_scale)
 
     def run_degree(d: int):
         fits = [best_approx(coeffs[:, j], K, d) for j in range(F.n)]
-        approx_mg = sample_multigraph(K, np.column_stack([r.values for r in fits]), tol)
+        approx_mg = sample_multigraph(K, np.column_stack([r.values for r in fits]))
         keep = ~np.isin(np.arange(K.count), target.flagged + approx_mg.flagged)
         if not keep.any():
             raise RuntimeError(f"all sample points flagged at degree {d}")

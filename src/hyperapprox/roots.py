@@ -77,7 +77,7 @@ def min_gaps(z: np.ndarray) -> np.ndarray:
     return gaps.min(axis=(1, 2))
 
 
-def solve_monic_batch(coeffs: np.ndarray, tol: float = DEFAULT_TOL):
+def solve_monic_batch(coeffs: np.ndarray):
     """Solve a batch of monic polynomials t^n + a_1 t^(n-1) + ... + a_n.
 
     coeffs: (N, n) complex array of (a_1..a_n) rows.
@@ -86,8 +86,8 @@ def solve_monic_batch(coeffs: np.ndarray, tol: float = DEFAULT_TOL):
     matrices, computed in one batched call (backward stable for monic
     polynomials), followed by one Newton step that is kept only on rows
     where it lowers the max residual; iterations is therefore 1 on every
-    row.  A row whose residual misses tol * max(1, max|a_j|) is relaxed to
-    1e-6 when its roots cluster (min pairwise gap < 1e-4), which is the
+    row.  A row whose residual misses DEFAULT_TOL * max(1, max|a_j|) is
+    relaxed to 1e-6 when its roots cluster (min pairwise gap < 1e-4), the
     expected accuracy near multiple roots; converged says whether the row
     meets its (possibly relaxed) target.  Each row's roots are sorted by
     real, then imaginary part.
@@ -114,7 +114,7 @@ def solve_monic_batch(coeffs: np.ndarray, tol: float = DEFAULT_TOL):
     res[better] = res_new[better]
 
     clustered = min_gaps(z) < CLUSTER_GAP
-    tol_used = np.where((res > tol * scale) & clustered, max(tol, RELAXED_TOL), tol)
+    tol_used = np.where((res > DEFAULT_TOL * scale) & clustered, RELAXED_TOL, DEFAULT_TOL)
     converged = res <= tol_used * scale
 
     # canonical ordering for reproducibility
@@ -123,14 +123,14 @@ def solve_monic_batch(coeffs: np.ndarray, tol: float = DEFAULT_TOL):
     return z, res, np.ones(nbatch, dtype=int), tol_used, converged
 
 
-def solve_monic(coeffs, tol: float = DEFAULT_TOL) -> RootSet:
+def solve_monic(coeffs) -> RootSet:
     """Roots of the monic polynomial t^n + a_1 t^(n-1) + ... + a_n.
 
-    Raises NonConvergenceError if the residual misses tol * max(1, max|a_j|),
+    Raises NonConvergenceError if the residual misses 1e-12 * max(1, max|a_j|),
     or 1e-6 times that scale where the roots cluster (see solve_monic_batch).
     """
     arr = np.asarray(coeffs, dtype=complex).reshape(1, -1)
-    roots, res, iters, tol_used, ok = solve_monic_batch(arr, tol)
+    roots, res, iters, tol_used, ok = solve_monic_batch(arr)
     if not ok[0]:
         raise NonConvergenceError(roots[0], float(res[0]), tol_used[0])
     return RootSet(roots[0], float(res[0]), int(iters[0]), float(tol_used[0]))
@@ -229,12 +229,12 @@ class HoelderReport:
     tol_used: float
 
 
-def hoelder_check(a_coeffs, b_coeffs, C: float, tol: float = DEFAULT_TOL) -> HoelderReport:
+def hoelder_check(a_coeffs, b_coeffs, C: float) -> HoelderReport:
     """Check the root continuity bound for two monic coefficient vectors.
 
     Preconditions (rejected, never clamped): C > 1 and |a|_inf <= C,
     |b|_inf <= C.  Both vectors are solved in one batched call; the
-    achieved solver tolerance is the first of (tol, 1e-8, 1e-6) that both
+    achieved solver tolerance is the first of (1e-12, 1e-8, 1e-6) that both
     relative residuals meet, and NonConvergenceError is raised if none is.
     The bound is asserted up to 10x that tolerance to absorb residual root
     error.
@@ -250,10 +250,10 @@ def hoelder_check(a_coeffs, b_coeffs, C: float, tol: float = DEFAULT_TOL) -> Hoe
         raise ValueError("coefficient max norm exceeds C; hypothesis violated")
 
     both = np.stack([a, b])
-    sets, res, _iters, _tol, _ok = solve_monic_batch(both, tol)
+    sets, res, _iters, _tol, _ok = solve_monic_batch(both)
     rel = res / np.maximum(1.0, np.abs(both).max(axis=1))
     worst = int(np.argmax(rel))
-    tol_used = next((rung for rung in (tol, 1e-8, RELAXED_TOL) if rel[worst] <= rung), None)
+    tol_used = next((rung for rung in (DEFAULT_TOL, 1e-8, RELAXED_TOL) if rel[worst] <= rung), None)
     if tol_used is None:
         raise NonConvergenceError(sets[worst], float(rel[worst]), RELAXED_TOL)
 

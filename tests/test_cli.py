@@ -78,8 +78,12 @@ SCALAR_CFG = {
     (_STAIRCASE, ["--mesh", str(2.0 ** -12)], "unrecognized arguments: --mesh"),
     (FORWARD_CFG, ["--tol", "1e-10"], "unrecognized arguments: --tol"),
     (dict(SCALAR_CFG, tol=0.5), [], "unknown field 'tol'"),
+    (dict(FORWARD_CFG, tol=1e-10), [], "unknown field 'tol'"),
+    ({"command": "converse", "tol": 1e-10}, [], "unknown field 'tol'"),
+    ({"command": "converse", "x0_index": 0}, [], "unknown field 'x0_index'"),
 ], ids=["seed", "forward-mode", "scalar-mode", "converse-n", "seed-flag",
-        "store-multigraphs", "mesh-flag", "tol-flag", "scalar-tol"])
+        "store-multigraphs", "mesh-flag", "tol-flag", "scalar-tol", "forward-tol",
+        "converse-tol", "converse-x0-index"])
 def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, message):
     if cfg["command"] == "converse":
         cfg = dict(cfg, from_forward=forward_results)
@@ -129,8 +133,11 @@ _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.
     (dict(_EXTREMAL, grid_step=0), "grid_step"),
     (dict(_EXTREMAL, grid_step="a"), "grid_step"),
     (dict(_EXTREMAL, h=0.01), "h"),
-    (dict(FORWARD_CFG, tol="x"), "tol"),
-    (dict(FORWARD_CFG, tol=-1), "tol"),
+    (dict(FORWARD_CFG, fiber_degree=2.0), "fiber_degree"),
+    (dict(FORWARD_CFG, fiber_degree=True, coefficients=FORWARD_CFG["coefficients"][1:]),
+     "fiber_degree"),
+    (dict(FORWARD_CFG, fiber_degree=0, coefficients=[]), "fiber_degree"),
+    (dict(FORWARD_CFG, out_dir=5), "out_dir"),
     (_scalar_fn("exp", [_X0, _X0]), "function"),
     (_scalar_fn("coord", [0.7]), "function"),
     (_scalar_fn("coord", [0, 4]), "function"),
@@ -146,8 +153,9 @@ _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.
         "top-below-fiber-degree", "scalar-five-degrees", "function-no-args",
         "function-const-list", "function-poly-empty", "coefficients-int",
         "k_max-str", "k_max-1", "mesh-0", "mesh-negative", "mesh-coarse", "nu-zero",
-        "box-height-negative", "grid-step-0", "grid-step-str", "h-below-grid", "tol-str",
-        "tol-negative", "unary-two-children", "coord-float", "coord-two", "coord-negative",
+        "box-height-negative", "grid-step-0", "grid-step-str", "h-below-grid",
+        "fiber-degree-float", "fiber-degree-bool", "fiber-degree-0", "out-dir-int",
+        "unary-two-children", "coord-float", "coord-two", "coord-negative",
         "coord-bool", "const-three", "const-str", "const-huge-int", "poly-two", "coord-beyond-m",
         "poly-m-mismatch"])
 def test_bad_samples_or_degrees_exit_2(tmp_path, capsys, cfg, field):
@@ -385,11 +393,16 @@ def forward_results(tmp_path_factory):
     return str(out / "results.json")
 
 
-@pytest.mark.parametrize("x0_index", [500, -1])
-def test_converse_x0_index_outside_base_exits_2(forward_results, tmp_path, capsys, x0_index):
-    cfg = {"command": "converse", "from_forward": forward_results, "x0_index": x0_index}
-    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
-    assert "x0_index" in capsys.readouterr().err
+def test_converse_empty_input_exits_2(forward_results, tmp_path, capsys):
+    data = json.loads(Path(forward_results).read_text())
+    data["approximant_multigraphs"] = []
+    results_path = tmp_path / "results.json"
+    results_path.write_text(json.dumps(data))
+    cfg = {"command": "converse", "from_forward": str(results_path)}
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert str(results_path) in capsys.readouterr().err
+    assert not (out / "results.json").exists()
 
 
 def test_converse_rejects_forward_fields(forward_results, tmp_path, capsys):

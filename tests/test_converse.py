@@ -263,6 +263,8 @@ def test_coefficient_at_floor_after_three_entries_is_inconclusive():
     assert res.coeff_fits[1].n_used == 3
     assert res.verdict == "inconclusive"
     assert all(res.lemma_ok)
+    # the unfitted a_2 placeholder theta (1.0) is not an envelope breach
+    assert res.theta_envelope_ok
 
 
 @pytest.mark.parametrize("case", ["exp_round_trip", "cubic_sequence"])

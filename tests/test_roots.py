@@ -22,7 +22,7 @@ def test_solve_quadratic_plus_minus_one():
 
 
 def test_solve_double_root_with_relaxed_tol():
-    rs = solve_monic([0.0, 0.0], tol=1e-6)
+    rs = solve_monic([0.0, 0.0])
     np.testing.assert_allclose(rs.roots, [0.0, 0.0], atol=1e-3)
     assert rs.residual <= 1e-6
 
