@@ -1,9 +1,14 @@
 """Experiment runner: validates a JSON config, executes one of the pipelines,
 and writes deterministic JSON / CSV / plot-data artifacts.
 
-Exit codes: 0 when every invariant checked during the run holds, 2 for
-config validation errors, 3 for numerical failures (partial artifacts are
-kept with flagged markers).
+One table, `_COMMANDS`, names each command's runner and its fields with
+their defaults.  A runner writes its CSVs and returns its results.json
+payload, with its named checks where it has any; `run` adds the config
+echo, writes results.json and decides the exit code.
+
+Exit codes: 0 when every named check in results.json holds, 2 for config
+validation errors, 3 when a check fails or on a numerical failure (partial
+artifacts are kept with a "flagged" marker).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import json
 import math
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,64 +44,47 @@ from .sets_metrics import (
 
 __all__ = ["ExperimentConfig", "ConfigError", "run", "main"]
 
-COMMANDS = ("forward", "converse", "scalar-bws", "counterexample", "closure-demo", "extremal")
-
-_FIELDS_COMMON = {"command", "out_dir"}
-_FIELDS_BY_COMMAND = {
-    "forward": {"shape", "samples", "fiber_degree", "coefficients", "d_range"},
-    "converse": {"from_forward", "multigraph_paths", "limit_path"},
-    "scalar-bws": {"shape", "samples", "function", "d_range"},
-    "counterexample": {"k_max", "mesh"},
-    "closure-demo": {"nu_list", "box_height"},
-    "extremal": {"shape", "grid_step", "h"},
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
+_REQUIRED = object()  # a field default: the config must set the field
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A validated config: the command, its output directory, and `fields`,
+    every field of the command with the table's default where the config
+    does not set it."""
+
     command: str
+    fields: dict
     out_dir: str = "results"
-    shape: dict | None = None
-    samples: int = 401
-    fiber_degree: int | None = None
-    coefficients: list | None = None
-    function: dict | None = None
-    d_range: list | None = None
-    k_max: int | None = None
-    mesh: float | None = None
-    nu_list: list | None = None
-    box_height: float = 2.0
-    grid_step: float | None = None
-    h: float | None = None
-    from_forward: str | None = None
-    multigraph_paths: list | None = None
-    limit_path: str | None = None
 
     def to_json(self) -> dict:
-        out = {}
-        for key, value in asdict(self).items():
-            if value is None:
-                continue
-            if key in _FIELDS_COMMON or key in _FIELDS_BY_COMMAND.get(self.command, set()):
-                out[key] = value
-        return out
+        echo = {"command": self.command, "out_dir": self.out_dir, **self.fields}
+        return {key: value for key, value in echo.items() if value is not None}
 
     @staticmethod
     def from_json(data: dict) -> "ExperimentConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
         command = data.get("command")
-        if command not in COMMANDS:
+        if type(command) is not str or command not in _COMMANDS:
             raise ConfigError(f"field 'command' must be one of {COMMANDS}, got {command!r}")
-        allowed = _FIELDS_COMMON | _FIELDS_BY_COMMAND[command]
+        defaults = _COMMANDS[command][1]
         for key in data:
-            if key not in allowed:
+            if key not in defaults and key not in ("command", "out_dir"):
                 raise ConfigError(f"unknown field {key!r} for command {command!r}")
-        return ExperimentConfig(**data)
+        for key, default in defaults.items():
+            if default is _REQUIRED and data.get(key) is None:
+                raise ConfigError(f"field {key!r} is required for command {command!r}")
+        out_dir = data.get("out_dir", "results")
+        if type(out_dir) is not str:
+            raise ConfigError(f"field 'out_dir' must be a path string, got {out_dir!r}")
+        fields = {key: data.get(key, default) for key, default in defaults.items()}
+        return ExperimentConfig(command, fields, out_dir)
 
 
 def _fmt(x: float) -> str:
@@ -114,6 +102,15 @@ def _write_json(path: Path, payload):
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _write_rates(out: Path, header, rows, plotted):
+    """rates.csv, and plot_data.csv: the first column against log10 of the
+    plotted columns, each clamped to 1e-300 so a zero error stays finite."""
+    _write_csv(out / "rates.csv", header, rows)
+    cols = [header.index(name) for name in plotted]
+    _write_csv(out / "plot_data.csv", [header[0], *(f"log10_{name}" for name in plotted)],
+               [[row[0], *(math.log10(max(row[i], 1e-300)) for i in cols)] for row in rows])
+
+
 def _number(field: str, value, *, above=-math.inf, at_least=-math.inf, at_most=math.inf,
             integer: bool = False):
     """value if it is a finite number (an int when integer) with value > above
@@ -127,29 +124,27 @@ def _number(field: str, value, *, above=-math.inf, at_least=-math.inf, at_most=m
     return value
 
 
-def _parse_shape(cfg: ExperimentConfig):
-    if cfg.shape is None:
-        raise ConfigError("field 'shape' is required for this command")
+def _parse_shape(cfg: dict):
     try:
-        return shape_from_json(cfg.shape)
+        return shape_from_json(cfg["shape"])
     except (KeyError, ValueError, TypeError) as exc:
         raise ConfigError(f"field 'shape' is invalid: {exc}") from exc
 
 
-def _build_compact(cfg: ExperimentConfig) -> SampledCompact:
+def _build_compact(cfg: dict) -> SampledCompact:
     shape = _parse_shape(cfg)
-    _number("samples", cfg.samples, at_least=2, integer=True)
-    kind = cfg.shape["kind"]
+    samples = _number("samples", cfg["samples"], at_least=2, integer=True)
+    kind = cfg["shape"]["kind"]
     if kind == "segment":
-        return sample_segment(shape.a, shape.b, cfg.samples)
+        return sample_segment(shape.a, shape.b, samples)
     if kind == "disc":
-        grid_n = max(5, int(math.sqrt(cfg.samples)))
+        grid_n = max(5, int(math.sqrt(samples)))
         return sample_disc(shape.center, shape.radius, grid_n)
     if kind == "box":
-        per_axis = max(3, int(round(cfg.samples ** (1.0 / len(shape.intervals)))))
+        per_axis = max(3, int(round(samples ** (1.0 / len(shape.intervals)))))
         return sample_box(shape.intervals, per_axis)
     if kind == "polydisc":
-        grid_n = max(5, int(math.sqrt(cfg.samples)))
+        grid_n = max(5, int(math.sqrt(samples)))
         return sample_polydisc(shape.radii, grid_n)
     raise ConfigError(f"shape kind {kind!r} is not a sampleable standard shape")
 
@@ -176,20 +171,16 @@ def _parse_expr(field: str, data, m: int):
         raise ConfigError(f"field {field!r} is invalid: {exc}") from exc
 
 
-def _parse_pseudopolynomial(cfg: ExperimentConfig, m: int) -> Pseudopolynomial:
-    if cfg.fiber_degree is None or cfg.coefficients is None:
-        raise ConfigError("fields 'fiber_degree' and 'coefficients' are required")
-    _number("fiber_degree", cfg.fiber_degree, at_least=1, integer=True)
-    if type(cfg.coefficients) is not list or len(cfg.coefficients) != cfg.fiber_degree:
-        raise ConfigError(
-            f"field 'coefficients' must list exactly fiber_degree={cfg.fiber_degree} entries"
-        )
-    coeffs = tuple(_parse_expr("coefficients", c, m) for c in cfg.coefficients)
-    return Pseudopolynomial(cfg.fiber_degree, coeffs)
+def _parse_pseudopolynomial(cfg: dict, m: int) -> Pseudopolynomial:
+    n = _number("fiber_degree", cfg["fiber_degree"], at_least=1, integer=True)
+    if type(cfg["coefficients"]) is not list or len(cfg["coefficients"]) != n:
+        raise ConfigError(f"field 'coefficients' must list exactly fiber_degree={n} entries")
+    coeffs = tuple(_parse_expr("coefficients", c, m) for c in cfg["coefficients"])
+    return Pseudopolynomial(n, coeffs)
 
 
-def _d_list(cfg: ExperimentConfig, K: SampledCompact, top_at_least: int = 0) -> list:
-    d = cfg.d_range
+def _d_list(cfg: dict, K: SampledCompact, top_at_least: int = 0) -> list:
+    d = cfg["d_range"]
     if type(d) is not list or any(type(x) is not int or x < 0 for x in d):
         raise ConfigError(f"field 'd_range' must list nonnegative integer degrees, got {d!r}")
     if len(d) == 2 and d[0] < d[1]:
@@ -207,25 +198,14 @@ def _d_list(cfg: ExperimentConfig, K: SampledCompact, top_at_least: int = 0) -> 
     return d_list
 
 
-def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
+def _run_forward(cfg: dict, out: Path) -> dict:
     K = _build_compact(cfg)
     F = _parse_pseudopolynomial(cfg, K.m)
     exp = forward_rate_experiment(F, K, _d_list(cfg, K, top_at_least=F.n))
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(F.n)] + ["delta", "graph_dh"]
     rows = [[r.d, *[float(e) for e in r.coeff_errors], r.delta, r.graph_dh] for r in exp.records]
-    _write_csv(out / "rates.csv", header, rows)
-    _write_csv(
-        out / "plot_data.csv",
-        ["d"] + [f"log10_coeff_err_{j + 1}" for j in range(F.n)] + ["log10_delta", "log10_graph_dh"],
-        [
-            [r.d]
-            + [math.log10(max(float(e), 1e-300)) for e in r.coeff_errors]
-            + [math.log10(max(r.delta, 1e-300)), math.log10(max(r.graph_dh, 1e-300))]
-            for r in exp.records
-        ],
-    )
-    payload = {
-        "config": cfg.to_json(),
+    _write_rates(out, header, rows, header[1:])
+    return {
         "checks": exp.checks,
         "fits": {
             "delta": _rate_fit_json(exp.delta_fit),
@@ -248,8 +228,6 @@ def _run_forward(cfg: ExperimentConfig, out: Path) -> int:
             {"d": r.d, "fibers": fibers_to_json(r.fibers)} for r in exp.records
         ],
     }
-    _write_json(out / "results.json", payload)
-    return 0 if exp.passed else 3
 
 
 @contextmanager
@@ -266,10 +244,14 @@ def _read_multigraph(path: str) -> Multigraph:
         return Multigraph.from_json(json.loads(Path(path).read_text()))
 
 
-def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.from_forward:
-        with _input_file(cfg.from_forward):
-            data = json.loads(Path(cfg.from_forward).read_text())
+def _run_converse(cfg: dict, out: Path) -> dict:
+    also = [key for key in ("multigraph_paths", "limit_path") if cfg[key] is not None]
+    if cfg["from_forward"] is not None and also:
+        raise ConfigError(f"field 'from_forward' excludes {' and '.join(map(repr, also))}: "
+                          "give one input")
+    if cfg["from_forward"]:
+        with _input_file(cfg["from_forward"]):
+            data = json.loads(Path(cfg["from_forward"]).read_text())
             if "target_multigraph" not in data:
                 raise ConfigError("field 'from_forward' points at results without stored multigraphs")
             limit = Multigraph.from_json(data["target_multigraph"])
@@ -278,10 +260,10 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
                 raise ValueError("'approximant_multigraphs' is empty")
             w_seq = [Multigraph(limit.base, fibers_from_json(e["fibers"]), limit.n) for e in entries]
             d_values = [int(e["d"]) for e in entries]
-    elif cfg.multigraph_paths and cfg.limit_path:
-        limit = _read_multigraph(cfg.limit_path)
-        w_seq = [_read_multigraph(p) for p in cfg.multigraph_paths]
-        for path, w in zip(cfg.multigraph_paths, w_seq):
+    elif cfg["multigraph_paths"] and cfg["limit_path"]:
+        limit = _read_multigraph(cfg["limit_path"])
+        w_seq = [_read_multigraph(p) for p in cfg["multigraph_paths"]]
+        for path, w in zip(cfg["multigraph_paths"], w_seq):
             if w.n != limit.n or not np.array_equal(w.base.points, limit.base.points):
                 raise ConfigError(f"input file {path} must share limit_path's base and n = {limit.n}")
         d_values = list(range(1, len(w_seq) + 1))
@@ -290,21 +272,16 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
             "converse needs either field 'from_forward' or fields "
             "'multigraph_paths' + 'limit_path'"
         )
-    n = limit.n
     result = converse_experiment(w_seq, limit, d_values=d_values)
-    header = ["d"] + [f"coeff_err_{j + 1}" for j in range(n)]
+    header = ["d"] + [f"coeff_err_{j + 1}" for j in range(limit.n)]
     rows = [[d, *[float(e) for e in result.coeff_errors[i]]] for i, d in enumerate(result.d_values)]
-    _write_csv(out / "rates.csv", header, rows)
-    _write_csv(
-        out / "plot_data.csv",
-        ["d"] + [f"log10_coeff_err_{j + 1}" for j in range(n)],
-        [
-            [d] + [math.log10(max(float(e), 1e-300)) for e in result.coeff_errors[i]]
-            for i, d in enumerate(result.d_values)
-        ],
-    )
-    payload = {
-        "config": cfg.to_json(),
+    _write_rates(out, header, rows, header[1:])
+    return {
+        "checks": {
+            "verdict_holomorphic_witness": result.verdict == "holomorphic-witness",
+            "lemma_bounds_hold": all(result.lemma_ok),
+            "theta_envelope_ok": result.theta_envelope_ok,
+        },
         "verdict": result.verdict,
         "n_detected": result.n_detected,
         "delta_fit": _rate_fit_json(result.delta_fit),
@@ -313,37 +290,25 @@ def _run_converse(cfg: ExperimentConfig, out: Path) -> int:
         "lemma_bound_ok": list(result.lemma_ok),
         "reconstructed": result.reconstructed.to_json(),
     }
-    _write_json(out / "results.json", payload)
-    ok = result.verdict == "holomorphic-witness" and all(result.lemma_ok) and result.theta_envelope_ok
-    return 0 if ok else 3
 
 
-def _run_scalar(cfg: ExperimentConfig, out: Path) -> int:
+def _run_scalar(cfg: dict, out: Path) -> dict:
     K = _build_compact(cfg)
-    if cfg.function is None:
-        raise ConfigError("field 'function' is required")
-    fn = _parse_expr("function", cfg.function, K.m)
+    fn = _parse_expr("function", cfg["function"], K.m)
     errors, fit = scalar_bws_rate(fn.evaluate_many(K.points), K, _d_list(cfg, K))
-    _write_csv(out / "rates.csv", ["d", "error"], [[d, e] for d, e in errors])
-    _write_csv(out / "plot_data.csv", ["d", "log10_error"],
-               [[d, math.log10(max(e, 1e-300))] for d, e in errors])
-    _write_json(out / "results.json", {"config": cfg.to_json(), "fit": _rate_fit_json(fit)})
-    return 0
+    _write_rates(out, ["d", "error"], [[d, e] for d, e in errors], ["error"])
+    return {"fit": _rate_fit_json(fit)}
 
 
-def _run_counterexample(cfg: ExperimentConfig, out: Path) -> int:
-    if cfg.k_max is None:
-        raise ConfigError("field 'k_max' is required")
-    _number("k_max", cfg.k_max, at_least=2, integer=True)
-    mesh = 0.5 ** (cfg.k_max + 3)
-    if cfg.mesh is not None:
+def _run_counterexample(cfg: dict, out: Path) -> dict:
+    k_max = _number("k_max", cfg["k_max"], at_least=2, integer=True)
+    mesh = 0.5 ** (k_max + 3)
+    if cfg["mesh"] is not None:
         # the grid must resolve the finest modified interval, 2^-k_max wide
-        mesh = _number("mesh", cfg.mesh, above=0.0, at_most=0.5 ** cfg.k_max / 8.0)
-    rows = counterexample_rates(cfg.k_max, mesh)
-    _write_csv(out / "rates.csv", ["k", "sup_norm", "graph_dh", "c_est"],
-               [[r.k, r.sup_norm, r.graph_dh, r.c_est] for r in rows])
-    _write_csv(out / "plot_data.csv", ["k", "log10_sup_norm", "log10_graph_dh"],
-               [[r.k, math.log10(r.sup_norm), math.log10(max(r.graph_dh, 1e-300))] for r in rows])
+        mesh = _number("mesh", cfg["mesh"], above=0.0, at_most=0.5 ** k_max / 8.0)
+    rows = counterexample_rates(k_max, mesh)
+    _write_rates(out, ["k", "sup_norm", "graph_dh", "c_est"],
+                 [[r.k, r.sup_norm, r.graph_dh, r.c_est] for r in rows], ["sup_norm", "graph_dh"])
     sup_fit = fit_geometric_rate([(r.k, r.sup_norm) for r in rows])
     dh_fit = fit_geometric_rate([(r.k, r.graph_dh) for r in rows])
     checks = {
@@ -352,22 +317,19 @@ def _run_counterexample(cfg: ExperimentConfig, out: Path) -> int:
         "graph_rate_geometric": dh_fit.verdict == "geometric",
         "sup_rate_not_geometric": sup_fit.verdict == "not-geometric",
     }
-    _write_json(out / "results.json", {
-        "config": cfg.to_json(),
+    return {
         "checks": checks,
         "fits": {"sup_norm": _rate_fit_json(sup_fit), "graph_dh": _rate_fit_json(dh_fit)},
-    })
-    return 0 if all(checks.values()) else 3
+    }
 
 
-def _run_closure(cfg: ExperimentConfig, out: Path) -> int:
-    nu_list = cfg.nu_list if cfg.nu_list is not None else [10.0, 100.0, 1000.0]
+def _run_closure(cfg: dict, out: Path) -> dict:
+    nu_list = cfg["nu_list"] if cfg["nu_list"] is not None else [10.0, 100.0, 1000.0]
     if type(nu_list) is not list or not nu_list:
         raise ConfigError(f"field 'nu_list' must be a nonempty list, got {nu_list!r}")
     for nu in nu_list:
         _number("nu_list", nu, above=0.0)
-    _number("box_height", cfg.box_height, above=0.0)
-    report = closure_failure_demo(nu_list, box_height=cfg.box_height)
+    report = closure_failure_demo(nu_list)
     _write_csv(out / "fiber_growth.csv", ["box_height", "fiber_cardinality"],
                [[h, c] for h, c in zip(report.box_heights, report.fiber_counts)])
     checks = {
@@ -377,20 +339,15 @@ def _run_closure(cfg: ExperimentConfig, out: Path) -> int:
             a < b for a, b in zip(report.fiber_counts, report.fiber_counts[1:])
         ),
     }
-    _write_json(out / "results.json", {
-        "config": cfg.to_json(),
-        "checks": checks,
-        "per_step_sup": list(report.kuratowski.per_step_sup),
-    })
-    return 0 if all(checks.values()) else 3
+    return {"checks": checks, "per_step_sup": list(report.kuratowski.per_step_sup)}
 
 
-def _run_extremal(cfg: ExperimentConfig, out: Path) -> int:
+def _run_extremal(cfg: dict, out: Path) -> dict:
     shape = _parse_shape(cfg)
-    step = _number("grid_step", cfg.grid_step, above=0.0) if cfg.grid_step is not None else 0.05
+    step = _number("grid_step", cfg["grid_step"], above=0.0) if cfg["grid_step"] is not None else 0.05
     grid_mesh = step * math.sqrt(2) / 2.0
-    # continuity_probe needs every grid point to have neighbours in its h-ball
-    h = _number("h", cfg.h, at_least=2.0 * grid_mesh) if cfg.h is not None else 2.5 * step
+    # continuity_probe needs h >= 2 * grid_mesh = sqrt(2) * step
+    h = 2.5 * step
     if shape.dim != 1:
         raise ConfigError("extremal command currently samples 1-dimensional shapes")
     half = shape.diameter()
@@ -401,43 +358,38 @@ def _run_extremal(cfg: ExperimentConfig, out: Path) -> int:
     osc = continuity_probe(shape, pts, grid_mesh, h)
     _write_csv(out / "phi.csv", ["re", "im", "phi"],
                [[float(p[0].real), float(p[0].imag), float(v)] for p, v in zip(pts, vals)])
-    checks = {"phi_ge_1": bool(vals.min() >= 1.0 - 1e-12)}
-    _write_json(out / "results.json", {
-        "config": cfg.to_json(),
-        "checks": checks,
-        "oscillation": osc,
-        "h": h,
-    })
-    return 0 if all(checks.values()) else 3
+    return {"checks": {"phi_ge_1": bool(vals.min() >= 1.0 - 1e-12)}, "oscillation": osc, "h": h}
 
 
-_RUNNERS = {
-    "forward": _run_forward,
-    "converse": _run_converse,
-    "scalar-bws": _run_scalar,
-    "counterexample": _run_counterexample,
-    "closure-demo": _run_closure,
-    "extremal": _run_extremal,
+# command -> (runner, {field: default}); a None default leaves the value to the
+# runner, and every config may also set out_dir
+_COMMANDS = {
+    "forward": (_run_forward, {"shape": _REQUIRED, "samples": 401, "fiber_degree": _REQUIRED,
+                               "coefficients": _REQUIRED, "d_range": _REQUIRED}),
+    "converse": (_run_converse, {"from_forward": None, "multigraph_paths": None, "limit_path": None}),
+    "scalar-bws": (_run_scalar, {"shape": _REQUIRED, "samples": 401, "function": _REQUIRED,
+                                 "d_range": _REQUIRED}),
+    "counterexample": (_run_counterexample, {"k_max": _REQUIRED, "mesh": None}),
+    "closure-demo": (_run_closure, {"nu_list": None}),
+    "extremal": (_run_extremal, {"shape": _REQUIRED, "grid_step": None}),
 }
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
-    if type(config.out_dir) is not str:
-        raise ConfigError(f"field 'out_dir' must be a path string, got {config.out_dir!r}")
+    """Run the config's command, write results.json, and return 0 when every
+    named check in it holds, else 3.  Raises ConfigError on a bad field."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     try:
-        return _RUNNERS[config.command](config, out)
+        payload = _COMMANDS[config.command][0](config.fields, out)
     except ConfigError:
         raise
     except (ValueError, RuntimeError, AssertionError) as exc:
-        _write_json(out / "results.json", {
-            "config": config.to_json(),
-            "flagged": True,
-            "error": str(exc),
-        })
         print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        payload = {"flagged": True, "error": str(exc)}
+    _write_json(out / "results.json", {"config": config.to_json(), **payload})
+    return 3 if "flagged" in payload or not all(payload.get("checks", {}).values()) else 0
 
 
 def main(argv=None) -> int:
@@ -458,7 +410,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = ExperimentConfig.from_json(raw)
-    except (ConfigError, TypeError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:

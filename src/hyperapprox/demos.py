@@ -43,6 +43,8 @@ __all__ = [
 PI2_OVER_6 = math.pi ** 2 / 6.0
 # Kuratowski tolerance of the closure demo; its grids resolve CLOSURE_TOL / 5
 CLOSURE_TOL = 0.05
+# the closure demo clips its limit lines to |t| <= CLOSURE_BOX_HEIGHT
+CLOSURE_BOX_HEIGHT = 2.0
 
 
 @dataclass(frozen=True)
@@ -174,28 +176,27 @@ def fiberwise_constant_probe(fm: Multigraph, gm: Multigraph) -> ProbeResult:
 class ClosureFailureReport:
     kuratowski: KuratowskiReport
     nu_list: tuple
-    box_height: float
     fiber_counts: tuple  # limit fiber cardinality per tested box height
     box_heights: tuple
 
 
-def _parabola_points(nu: float, box_height: float, dx: float) -> np.ndarray:
+def _parabola_points(nu: float, dx: float) -> np.ndarray:
     xs = np.arange(-1.0, 1.0 + dx / 2.0, dx)
     ts = nu * (xs * xs - 0.25)
-    keep = np.abs(ts) <= box_height + 1.0
+    keep = np.abs(ts) <= CLOSURE_BOX_HEIGHT + 1.0
     pts = np.column_stack([xs[keep], ts[keep]]).astype(complex)
     return pts
 
 
-def _clipped_lines(box_height: float, dt: float) -> np.ndarray:
-    ts = np.arange(-box_height, box_height + dt / 2.0, dt)
+def _clipped_lines(dt: float) -> np.ndarray:
+    ts = np.arange(-CLOSURE_BOX_HEIGHT, CLOSURE_BOX_HEIGHT + dt / 2.0, dt)
     rows = [np.column_stack([np.full_like(ts, x0), ts]) for x0 in (-0.5, 0.5)]
     return np.vstack(rows).astype(complex)
 
 
-def closure_failure_demo(nu_list, box_height: float = 2.0) -> ClosureFailureReport:
+def closure_failure_demo(nu_list) -> ClosureFailureReport:
     """Steepening parabola graphs t = nu (x^2 - 1/4) over [-1, 1] against
-    their vertical-line limit {+-1/2} x C, clipped to |t| <= box_height.
+    their vertical-line limit {+-1/2} x C, clipped to |t| <= CLOSURE_BOX_HEIGHT.
 
     The sampled graphs converge in the two-condition sense to the clipped
     limit, yet the limit's fiber cardinality grows linearly with the box
@@ -203,18 +204,18 @@ def closure_failure_demo(nu_list, box_height: float = 2.0) -> ClosureFailureRepo
     """
     nu_list = tuple(float(nu) for nu in nu_list)
     dt = CLOSURE_TOL / 5.0
-    limit_pts = _clipped_lines(box_height, dt)
-    limit = SampledCompact(limit_pts, mesh=dt / 2.0, ambient_diam=2.0 * box_height + 2.0)
+    limit_pts = _clipped_lines(dt)
+    limit = SampledCompact(limit_pts, mesh=dt / 2.0, ambient_diam=2.0 * CLOSURE_BOX_HEIGHT + 2.0)
 
     seq = []
     for nu in nu_list:
         dx = min(2e-4, CLOSURE_TOL / (5.0 * nu))
-        pts = _parabola_points(nu, box_height, dx)
+        pts = _parabola_points(nu, dx)
         # covering radius along the curve: spacing stretched by the max slope
         slope = 2.0 * nu
         mesh = 0.5 * dx * math.sqrt(1.0 + slope * slope)
         seq.append(SampledCompact(pts, mesh=mesh,
-                                  ambient_diam=2.0 * box_height + 2.0))
+                                  ambient_diam=2.0 * CLOSURE_BOX_HEIGHT + 2.0))
 
     # witness compact disjoint from the limit lines: a short vertical stick
     # at x = 0 (the parabolas dive far below it as nu grows)
@@ -223,8 +224,7 @@ def closure_failure_demo(nu_list, box_height: float = 2.0) -> ClosureFailureRepo
 
     report = kuratowski_check(seq, limit, CLOSURE_TOL, witnesses=[witness])
 
-    heights = (box_height / 2.0, box_height, 2.0 * box_height)
+    heights = (CLOSURE_BOX_HEIGHT / 2.0, CLOSURE_BOX_HEIGHT, 2.0 * CLOSURE_BOX_HEIGHT)
     counts = tuple(int(np.ceil(2.0 * h / dt)) + 1 for h in heights)
-    return ClosureFailureReport(kuratowski=report, nu_list=nu_list,
-                                box_height=box_height, fiber_counts=counts,
+    return ClosureFailureReport(kuratowski=report, nu_list=nu_list, fiber_counts=counts,
                                 box_heights=heights)

@@ -9,6 +9,8 @@ accept as "polynomially convex by declaration".
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +57,8 @@ class Disc(StandardShape):
     dim = 1
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("disc radius must be positive")
+        if not (cmath.isfinite(self.center) and 0 < self.radius < math.inf):
+            raise ValueError("disc center must be finite and radius finite and positive")
 
     def phi_many(self, pts):
         z = np.asarray(pts, dtype=complex).reshape(-1)
@@ -79,6 +81,8 @@ class Segment(StandardShape):
     dim = 1
 
     def __post_init__(self):
+        if not (cmath.isfinite(self.a) and cmath.isfinite(self.b)):
+            raise ValueError("segment endpoints must be finite")
         if self.a == self.b:
             raise ValueError("segment endpoints must differ")
 
@@ -103,8 +107,8 @@ class Box(StandardShape):
 
     def __post_init__(self):
         for lo, hi in self.intervals:
-            if not lo < hi:
-                raise ValueError("box intervals must be nondegenerate")
+            if not -math.inf < lo < hi < math.inf:
+                raise ValueError("box intervals must be finite and nondegenerate")
 
     @property
     def dim(self):
@@ -132,8 +136,8 @@ class Polydisc(StandardShape):
     radii: tuple
 
     def __post_init__(self):
-        if any(r <= 0 for r in self.radii):
-            raise ValueError("polydisc radii must be positive")
+        if not all(0 < r < math.inf for r in self.radii):
+            raise ValueError("polydisc radii must be finite and positive")
 
     @property
     def dim(self):
@@ -180,6 +184,8 @@ class ProductShape(StandardShape):
 
 
 def shape_from_json(data: dict) -> StandardShape:
+    if not isinstance(data, dict):
+        raise ValueError(f"shape must be a JSON object with a 'kind', got {data!r}")
     kind = data.get("kind")
     if kind == "disc":
         c = data.get("center", [0.0, 0.0])

@@ -188,7 +188,7 @@ def test_criterion_07_fiberwise_constant_divergence(staircase_rows):
 
 def test_criterion_08_closure_failure():
     t0 = time.perf_counter()
-    rep = closure_failure_demo([10.0, 100.0, 1000.0], box_height=2.0)
+    rep = closure_failure_demo([10.0, 100.0, 1000.0])
     elapsed = time.perf_counter() - t0
     growth_ok = all(a < b for a, b in zip(rep.fiber_counts, rep.fiber_counts[1:]))
     ok = rep.kuratowski.cond1 and rep.kuratowski.cond2 and growth_ok

@@ -25,12 +25,6 @@ def _write_cfg(tmp_path, cfg):
     return str(path)
 
 
-def test_config_round_trip():
-    cfg = ExperimentConfig.from_json(FORWARD_CFG)
-    again = ExperimentConfig.from_json(cfg.to_json())
-    assert again == cfg
-
-
 def test_config_rejects_unknown_field():
     bad = dict(FORWARD_CFG, meshiness=3)
     with pytest.raises(ConfigError, match="meshiness"):
@@ -38,16 +32,9 @@ def test_config_rejects_unknown_field():
 
 
 def test_config_rejects_unknown_command():
-    with pytest.raises(ConfigError, match="command"):
-        ExperimentConfig.from_json({"command": "frobnicate"})
-
-
-def test_config_fields_match_command_field_sets():
-    from dataclasses import fields
-
-    from hyperapprox.cli import _FIELDS_BY_COMMAND, _FIELDS_COMMON
-
-    assert {f.name for f in fields(ExperimentConfig)} == _FIELDS_COMMON.union(*_FIELDS_BY_COMMAND.values())
+    for command in ("frobnicate", ["forward"], None):
+        with pytest.raises(ConfigError, match="command"):
+            ExperimentConfig.from_json({"command": command})
 
 
 def _exit_code(argv) -> int:
@@ -66,6 +53,17 @@ SCALAR_CFG = {
     "function": {"op": "exp", "args": [{"op": "coord", "args": [0]}]},
     "d_range": [0, 10],
 }
+_CLOSURE = {"command": "closure-demo"}
+_EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0}}
+
+
+def test_config_round_trip():
+    # one config per command; the echo holds exactly the fields set, plus out_dir
+    for cfg in (FORWARD_CFG, {"command": "converse", "from_forward": "results.json"}, SCALAR_CFG,
+                _STAIRCASE, _CLOSURE, dict(_EXTREMAL, grid_step=0.1)):
+        config = ExperimentConfig.from_json(cfg)
+        assert ExperimentConfig.from_json(config.to_json()) == config
+        assert config.to_json() == {"out_dir": "results", **cfg}
 
 
 @pytest.mark.parametrize("cfg, flags, message", [
@@ -81,9 +79,11 @@ SCALAR_CFG = {
     (dict(FORWARD_CFG, tol=1e-10), [], "unknown field 'tol'"),
     ({"command": "converse", "tol": 1e-10}, [], "unknown field 'tol'"),
     ({"command": "converse", "x0_index": 0}, [], "unknown field 'x0_index'"),
+    (dict(_CLOSURE, box_height=-1), [], "unknown field 'box_height'"),
+    (dict(_EXTREMAL, h=0.01), [], "unknown field 'h'"),
 ], ids=["seed", "forward-mode", "scalar-mode", "converse-n", "seed-flag",
         "store-multigraphs", "mesh-flag", "tol-flag", "scalar-tol", "forward-tol",
-        "converse-tol", "converse-x0-index"])
+        "converse-tol", "converse-x0-index", "closure-box-height", "extremal-h"])
 def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, message):
     if cfg["command"] == "converse":
         cfg = dict(cfg, from_forward=forward_results)
@@ -93,7 +93,6 @@ def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, 
 
 
 _SEVEN_ROOTS = [{"op": "const", "args": [0.0, 0.0]}] * 6 + [{"op": "const", "args": [-1.0, 0.0]}]
-_CLOSURE = {"command": "closure-demo"}
 _X0 = {"op": "coord", "args": [0]}
 
 
@@ -108,7 +107,6 @@ def _poly_coefficient(poly):
 
 _LINE = {"m": 1, "terms": [[[1], [1.0, 0.0]]]}
 _PLANE = {"m": 2, "terms": [[[1, 0], [1.0, 0.0]]]}
-_EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0}}
 
 
 @pytest.mark.parametrize("cfg, field", [
@@ -129,10 +127,8 @@ _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.
     (dict(_STAIRCASE, mesh=-0.001), "mesh"),
     (dict(_STAIRCASE, mesh=2.0 ** -10), "mesh"),
     (dict(_CLOSURE, nu_list=[0, 10, 100]), "nu_list"),
-    (dict(_CLOSURE, box_height=-1), "box_height"),
     (dict(_EXTREMAL, grid_step=0), "grid_step"),
     (dict(_EXTREMAL, grid_step="a"), "grid_step"),
-    (dict(_EXTREMAL, h=0.01), "h"),
     (dict(FORWARD_CFG, fiber_degree=2.0), "fiber_degree"),
     (dict(FORWARD_CFG, fiber_degree=True, coefficients=FORWARD_CFG["coefficients"][1:]),
      "fiber_degree"),
@@ -153,7 +149,7 @@ _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.
         "top-below-fiber-degree", "scalar-five-degrees", "function-no-args",
         "function-const-list", "function-poly-empty", "coefficients-int",
         "k_max-str", "k_max-1", "mesh-0", "mesh-negative", "mesh-coarse", "nu-zero",
-        "box-height-negative", "grid-step-0", "grid-step-str", "h-below-grid",
+        "grid-step-0", "grid-step-str",
         "fiber-degree-float", "fiber-degree-bool", "fiber-degree-0", "out-dir-int",
         "unary-two-children", "coord-float", "coord-two", "coord-negative",
         "coord-bool", "const-three", "const-str", "const-huge-int", "poly-two", "coord-beyond-m",
@@ -179,11 +175,36 @@ def test_degree_beyond_samples_exits_2(tmp_path, capsys, cfg, count):
     assert "field 'd_range'" in err and f"only {count} samples" in err
 
 
-def test_invalid_shape_exits_2(tmp_path, capsys):
-    cfg = dict(FORWARD_CFG, shape={"kind": "annulus", "radius": 1.0})
+_INF, _NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize("cfg", [
+    dict(FORWARD_CFG, shape={"kind": "annulus", "radius": 1.0}),
+    dict(FORWARD_CFG, shape="disc"),
+    dict(FORWARD_CFG, shape=[1]),
+    dict(FORWARD_CFG, shape={"kind": "disc", "center": [0.0, 0.0], "radius": _INF}),
+    dict(FORWARD_CFG, shape={"kind": "segment", "a": [_NAN, 0.0], "b": [1.0, 0.0]}),
+    dict(FORWARD_CFG, shape={"kind": "box", "intervals": [[-1.0, _INF], [-1.0, 1.0]]}),
+    dict(FORWARD_CFG, shape={"kind": "polydisc", "radii": [1.0, _INF]}),
+    dict(_EXTREMAL, shape={"kind": "disc", "center": [0.0, 0.0], "radius": _NAN}),
+    dict(_EXTREMAL, shape={"kind": "segment", "a": [-1.0, 0.0], "b": [_INF, 0.0]}),
+], ids=["unknown-kind", "string", "list", "disc-radius-inf", "segment-nan", "box-inf",
+        "polydisc-inf", "extremal-disc-nan", "extremal-segment-inf"])
+def test_invalid_shape_exits_2(tmp_path, capsys, cfg):
     code = main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == 2
-    assert "shape" in capsys.readouterr().err
+    assert "field 'shape'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    (FORWARD_CFG, "shape"), (FORWARD_CFG, "fiber_degree"), (FORWARD_CFG, "coefficients"),
+    (FORWARD_CFG, "d_range"), (SCALAR_CFG, "function"), (_STAIRCASE, "k_max"), (_EXTREMAL, "shape"),
+], ids=["forward-shape", "fiber-degree", "coefficients", "d-range", "function", "k-max",
+        "extremal-shape"])
+def test_missing_required_field_exits_2(tmp_path, capsys, cfg, field):
+    cfg = {key: value for key, value in cfg.items() if key != field}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    assert f"field '{field}'" in capsys.readouterr().err
 
 
 def test_forward_run_artifacts(tmp_path):
@@ -231,7 +252,7 @@ def test_scalar_run(tmp_path):
 
 
 def test_closure_run(tmp_path):
-    cfg = {"command": "closure-demo", "nu_list": [10.0, 100.0, 1000.0], "box_height": 2.0}
+    cfg = {"command": "closure-demo", "nu_list": [10.0, 100.0, 1000.0]}
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     growth = (out / "fiber_growth.csv").read_text().strip().splitlines()
@@ -240,12 +261,12 @@ def test_closure_run(tmp_path):
 
 
 def test_extremal_run(tmp_path):
-    cfg = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.0], "radius": 1.0},
-           "grid_step": 0.1, "h": 0.25}
+    cfg = dict(_EXTREMAL, grid_step=0.1)
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
     assert results["checks"]["phi_ge_1"]
+    assert results["h"] == 2.5 * 0.1
 
 
 def test_converse_run_from_forward(tmp_path):
@@ -258,6 +279,47 @@ def test_converse_run_from_forward(tmp_path):
     assert main(["run", str(cfg_path), "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
     assert results["verdict"] == "holomorphic-witness"
+    assert results["checks"] == {"verdict_holomorphic_witness": True, "lemma_bounds_hold": True,
+                                 "theta_envelope_ok": True}
+
+
+def test_converse_failed_check_exits_3_unflagged(tmp_path):
+    # a_2 reaches its floor after three entries: the verdict is inconclusive,
+    # which fails a named check without a numerical failure
+    from hyperapprox.sets_metrics import fibers_to_json, sample_segment
+    from tests.test_converse import _perturbed_sequence
+
+    K = sample_segment(-1.0, 1.0, 21)
+    x = K.points[:, 0].real
+    coeffs = np.column_stack([0.3 * x, -(1.0 + 0.25 * x) ** 2]).astype(complex)
+    steps = [0.1 * 0.5 ** d * np.array([1.0, 0.01 if d <= 3 else 0.0]) for d in range(1, 13)]
+    limit, w_seq = _perturbed_sequence(K, coeffs, steps)
+    forward_path = tmp_path / "forward.json"
+    forward_path.write_text(json.dumps({
+        "target_multigraph": limit.to_json(),
+        "approximant_multigraphs": [{"d": d, "fibers": fibers_to_json(w.fibers)}
+                                    for d, w in enumerate(w_seq, start=1)],
+    }))
+    cfg = {"command": "converse", "from_forward": str(forward_path)}
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    results = json.loads((out / "results.json").read_text())
+    assert "flagged" not in results
+    assert results["verdict"] == "inconclusive"
+    assert results["checks"] == {"verdict_holomorphic_witness": False, "lemma_bounds_hold": True,
+                                 "theta_envelope_ok": True}
+
+
+@pytest.mark.parametrize("given", [["limit_path"], ["multigraph_paths"],
+                                   ["multigraph_paths", "limit_path"]],
+                         ids=["limit", "multigraphs", "both"])
+def test_converse_conflicting_inputs_exit_2(forward_results, tmp_path, capsys, given):
+    # the ignored paths name no file, and the run must still refuse them
+    values = {"multigraph_paths": [str(tmp_path / "w1.json")], "limit_path": str(tmp_path / "limit.json")}
+    cfg = {"command": "converse", "from_forward": forward_results, **{k: values[k] for k in given}}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert all(f"'{field}'" in err for field in ("from_forward", *given))
 
 
 @pytest.fixture(scope="module")

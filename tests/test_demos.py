@@ -140,7 +140,7 @@ def test_closure_demo_points_on_curve():
 
 
 def test_closure_demo_report():
-    rep = closure_failure_demo([10, 100, 1000], box_height=2.0)
+    rep = closure_failure_demo([10, 100, 1000])
     assert rep.kuratowski.cond1
     assert rep.kuratowski.cond2
     counts = rep.fiber_counts
@@ -148,7 +148,7 @@ def test_closure_demo_report():
 
 
 def test_closure_demo_first_member_not_yet_close():
-    rep = closure_failure_demo([10, 100, 1000], box_height=2.0)
+    rep = closure_failure_demo([10, 100, 1000])
     sups = rep.kuratowski.per_step_sup
     assert sups[0] > CLOSURE_TOL and sups[-1] <= CLOSURE_TOL
 
