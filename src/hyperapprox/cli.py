@@ -4,7 +4,9 @@ and writes deterministic JSON / CSV / plot-data artifacts.
 One table, `_COMMANDS`, names each command's runner and its fields with
 their defaults.  A runner writes its CSVs and returns its results.json
 payload, with its named checks where it has any; `run` adds the config
-echo, writes results.json and decides the exit code.
+echo, writes results.json and decides the exit code.  Forward's multigraphs
+go into its results.json through one writer, and converse reads them back
+through one reader, its only input.
 
 Exit codes: 0 when every named check in results.json holds, 2 for config
 validation errors, 3 when a check fails or on a numerical failure (partial
@@ -17,7 +19,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,8 +34,6 @@ from .sets_metrics import (
     Multigraph,
     SampledCompact,
     degree_list,
-    fibers_from_json,
-    fibers_to_json,
     fit_geometric_rate,
     sample_box,
     sample_disc,
@@ -99,7 +98,7 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, payload):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _write_rates(out: Path, header, rows, plotted):
@@ -223,55 +222,86 @@ def _run_forward(cfg: dict, out: Path) -> dict:
             }
             for r in exp.records
         ],
-        "target_multigraph": exp.target.to_json(),
-        "approximant_multigraphs": [
-            {"d": r.d, "fibers": fibers_to_json(r.fibers)} for r in exp.records
-        ],
+        **_multigraphs_json(exp.target, [(r.d, r.fibers) for r in exp.records]),
     }
 
 
-@contextmanager
-def _input_file(path: str):
-    """Report unreadable or malformed multigraph data as a config error naming the file."""
+def _pairs(z: np.ndarray) -> list:
+    """A complex array (..., n) as nested lists of [re, im] pairs."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
+
+
+def _from_pairs(data, what: str) -> np.ndarray:
+    """Inverse of _pairs on N lists of n [re, im] pairs: the (N, n) complex
+    array, built exactly (signed zeros kept).  Raises ValueError unless the
+    lists are that regular and every value is finite."""
+    raw = np.asarray(data, dtype=float)
+    if raw.ndim != 3 or raw.shape[2] != 2:
+        raise ValueError(f"{what} must be N lists of n [re, im] pairs, "
+                         f"got an array of shape {raw.shape}")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError(f"{what} must be finite")
+    return np.ascontiguousarray(raw).view(complex)[..., 0]
+
+
+def _multigraphs_json(target: Multigraph, approximants) -> dict:
+    """The forward artifact's multigraph fields; _read_forward is their one
+    reader.  approximants lists (d, fibers) per degree.
+
+    target_multigraph holds the base sample (m; points, row i being
+    [re x_i1 .. re x_im, im x_i1 .. im x_im]; mesh; ambient_diam; shape) and
+    the target's n, fibers and flagged base points.  Every fibers entry is N
+    lists of n [re, im] pairs.
+    """
+    K = target.base
+    return {
+        "target_multigraph": {
+            "m": K.m,
+            "points": np.column_stack([K.points.real, K.points.imag]).tolist(),
+            "mesh": K.mesh,
+            "ambient_diam": K.ambient_diam,
+            "shape": K.shape.to_json(),
+            "n": target.n,
+            "fibers": _pairs(target.fibers),
+            "flagged": list(target.flagged),
+        },
+        "approximant_multigraphs": [{"d": d, "fibers": _pairs(f)} for d, f in approximants],
+    }
+
+
+def _read_forward(path: str):
+    """(limit, w_seq, d_values) from the forward results.json at path.
+
+    Converse needs the base points, mesh, n and fibers; shape and
+    ambient_diam are not read.  An unreadable file, a missing field, an
+    empty approximant list, a flagged target, or points or fibers that are
+    non-finite or shaped unlike the base and n are a ConfigError naming the
+    file.
+    """
     try:
-        yield
+        data = json.loads(Path(path).read_text())
+        target = data["target_multigraph"]
+        if target["flagged"]:
+            raise ValueError(f"the target has flagged base points {target['flagged']}")
+        m, n = int(target["m"]), int(target["n"])
+        raw = np.asarray(target["points"], dtype=float)
+        if raw.ndim != 2 or raw.shape[1] != 2 * m:
+            raise ValueError(f"points must be rows of 2m = {2 * m} numbers, got shape {raw.shape}")
+        points = _from_pairs(np.stack([raw[:, :m], raw[:, m:]], axis=-1), "base points")
+        base = SampledCompact(points, mesh=float(target["mesh"]))
+        limit = Multigraph(base, _from_pairs(target["fibers"], "fibers"), n)
+        entries = data["approximant_multigraphs"]
+        if not entries:
+            raise ValueError("'approximant_multigraphs' is empty")
+        w_seq = [Multigraph(base, _from_pairs(e["fibers"], "fibers"), n) for e in entries]
+        d_values = [int(e["d"]) for e in entries]
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"input file {path} holds no valid multigraph data: {exc}") from exc
-
-
-def _read_multigraph(path: str) -> Multigraph:
-    with _input_file(path):
-        return Multigraph.from_json(json.loads(Path(path).read_text()))
+    return limit, w_seq, d_values
 
 
 def _run_converse(cfg: dict, out: Path) -> dict:
-    also = [key for key in ("multigraph_paths", "limit_path") if cfg[key] is not None]
-    if cfg["from_forward"] is not None and also:
-        raise ConfigError(f"field 'from_forward' excludes {' and '.join(map(repr, also))}: "
-                          "give one input")
-    if cfg["from_forward"]:
-        with _input_file(cfg["from_forward"]):
-            data = json.loads(Path(cfg["from_forward"]).read_text())
-            if "target_multigraph" not in data:
-                raise ConfigError("field 'from_forward' points at results without stored multigraphs")
-            limit = Multigraph.from_json(data["target_multigraph"])
-            entries = data["approximant_multigraphs"]
-            if not entries:
-                raise ValueError("'approximant_multigraphs' is empty")
-            w_seq = [Multigraph(limit.base, fibers_from_json(e["fibers"]), limit.n) for e in entries]
-            d_values = [int(e["d"]) for e in entries]
-    elif cfg["multigraph_paths"] and cfg["limit_path"]:
-        limit = _read_multigraph(cfg["limit_path"])
-        w_seq = [_read_multigraph(p) for p in cfg["multigraph_paths"]]
-        for path, w in zip(cfg["multigraph_paths"], w_seq):
-            if w.n != limit.n or not np.array_equal(w.base.points, limit.base.points):
-                raise ConfigError(f"input file {path} must share limit_path's base and n = {limit.n}")
-        d_values = list(range(1, len(w_seq) + 1))
-    else:
-        raise ConfigError(
-            "converse needs either field 'from_forward' or fields "
-            "'multigraph_paths' + 'limit_path'"
-        )
+    limit, w_seq, d_values = _read_forward(cfg["from_forward"])
     result = converse_experiment(w_seq, limit, d_values=d_values)
     header = ["d"] + [f"coeff_err_{j + 1}" for j in range(limit.n)]
     rows = [[d, *[float(e) for e in result.coeff_errors[i]]] for i, d in enumerate(result.d_values)]
@@ -324,7 +354,7 @@ def _run_counterexample(cfg: dict, out: Path) -> dict:
 
 
 def _run_closure(cfg: dict, out: Path) -> dict:
-    nu_list = cfg["nu_list"] if cfg["nu_list"] is not None else [10.0, 100.0, 1000.0]
+    nu_list = cfg["nu_list"]
     if type(nu_list) is not list or not nu_list:
         raise ConfigError(f"field 'nu_list' must be a nonempty list, got {nu_list!r}")
     for nu in nu_list:
@@ -344,7 +374,7 @@ def _run_closure(cfg: dict, out: Path) -> dict:
 
 def _run_extremal(cfg: dict, out: Path) -> dict:
     shape = _parse_shape(cfg)
-    step = _number("grid_step", cfg["grid_step"], above=0.0) if cfg["grid_step"] is not None else 0.05
+    step = _number("grid_step", cfg["grid_step"], above=0.0)
     grid_mesh = step * math.sqrt(2) / 2.0
     # continuity_probe needs h >= 2 * grid_mesh = sqrt(2) * step
     h = 2.5 * step
@@ -362,16 +392,16 @@ def _run_extremal(cfg: dict, out: Path) -> dict:
 
 
 # command -> (runner, {field: default}); a None default leaves the value to the
-# runner, and every config may also set out_dir
+# runner (counterexample's mesh follows k_max), and every config may also set out_dir
 _COMMANDS = {
     "forward": (_run_forward, {"shape": _REQUIRED, "samples": 401, "fiber_degree": _REQUIRED,
                                "coefficients": _REQUIRED, "d_range": _REQUIRED}),
-    "converse": (_run_converse, {"from_forward": None, "multigraph_paths": None, "limit_path": None}),
+    "converse": (_run_converse, {"from_forward": _REQUIRED}),
     "scalar-bws": (_run_scalar, {"shape": _REQUIRED, "samples": 401, "function": _REQUIRED,
                                  "d_range": _REQUIRED}),
     "counterexample": (_run_counterexample, {"k_max": _REQUIRED, "mesh": None}),
-    "closure-demo": (_run_closure, {"nu_list": None}),
-    "extremal": (_run_extremal, {"shape": _REQUIRED, "grid_step": None}),
+    "closure-demo": (_run_closure, {"nu_list": [10.0, 100.0, 1000.0]}),
+    "extremal": (_run_extremal, {"shape": _REQUIRED, "grid_step": 0.05}),
 }
 COMMANDS = tuple(_COMMANDS)
 

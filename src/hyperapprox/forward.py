@@ -46,8 +46,8 @@ def sample_multigraph(K: SampledCompact, coeffs: np.ndarray) -> Multigraph:
     The forward pipeline passes both the target's and each degree-d
     approximant's coefficient samples through this one path.  Fibers carry
     multiplicity.  Sample points where the solver fails to converge are
-    flagged and kept with their best iterate; callers exclude them from any
-    sup with a warning rather than aborting.
+    flagged and kept with their best iterate; forward_rate_experiment
+    excludes them from every sup and fails its no_flagged_points check.
     """
     roots, _res, _it, _tol, ok = solve_monic_batch(coeffs)
     flagged = tuple(int(i) for i in np.nonzero(~ok)[0])
@@ -146,6 +146,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
             r.deg_bound <= 2 * r.d - 1 for r in records if r.d >= F.n
         ),
         "delta_rate_geometric": delta_fit.verdict == "geometric",
+        "no_flagged_points": not target.flagged and all(r.flagged_count == 0 for r in records),
     }
     # rate chain: fiber distances may only be slower than coefficients by the
     # 1/n root, up to a fitting tolerance

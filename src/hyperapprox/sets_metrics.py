@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .extremal import Box, Disc, Polydisc, Segment, StandardShape, shape_from_json
+from .extremal import Box, Disc, Polydisc, Segment, StandardShape
 
 __all__ = [
     "SampledCompact",
@@ -26,8 +26,6 @@ __all__ = [
     "hausdorff",
     "fiberwise_hausdorff",
     "fiber_profile",
-    "fibers_to_json",
-    "fibers_from_json",
     "kuratowski_check",
     "fit_geometric_rate",
     "sample_segment",
@@ -80,52 +78,6 @@ class SampledCompact:
     def count(self) -> int:
         return self.points.shape[0]
 
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "points": _to_real(self.points).tolist(),
-            "mesh": self.mesh,
-            "ambient_diam": self.ambient_diam,
-            "shape": self.shape.to_json() if self.shape is not None else None,
-        }
-
-    @staticmethod
-    def from_json(data: dict) -> "SampledCompact":
-        m = int(data["m"])
-        raw = np.asarray(data["points"], dtype=float)
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("base points must be finite")
-        if raw.size == 0:
-            pts = np.zeros((0, m), dtype=complex)
-        else:
-            # assign the parts: re + 1j*im would turn a -0.0 part into +0.0
-            pts = np.empty((raw.shape[0], m), dtype=complex)
-            pts.real, pts.imag = raw[:, :m], raw[:, m:]
-        shape = shape_from_json(data["shape"]) if data.get("shape") else None
-        return SampledCompact(pts, mesh=float(data["mesh"]),
-                              ambient_diam=data.get("ambient_diam"), shape=shape)
-
-
-def fibers_to_json(fibers: np.ndarray) -> list:
-    """Fiber array (..., n) as nested lists of [re, im] pairs."""
-    return np.stack([fibers.real, fibers.imag], axis=-1).tolist()
-
-
-def fibers_from_json(data) -> np.ndarray:
-    """Inverse of fibers_to_json: a (N, n) complex array, built exactly.
-
-    Raises ValueError unless every fiber lists the same number of finite
-    [re, im] pairs.
-    """
-    raw = np.asarray(data, dtype=float)
-    if raw.ndim != 3 or raw.shape[2] != 2:
-        raise ValueError(
-            f"fibers must be N lists of n [re, im] pairs, got an array of shape {raw.shape}"
-        )
-    if not np.all(np.isfinite(raw)):
-        raise ValueError("fiber values must be finite")
-    return np.ascontiguousarray(raw).view(complex)[..., 0]
-
 
 @dataclass(frozen=True)
 class Multigraph:
@@ -161,19 +113,6 @@ class Multigraph:
     def graph_points(self) -> np.ndarray:
         """All points (x, t) of the sampled graph, shape (N * n, m + 1), x-major."""
         return np.column_stack([np.repeat(self.base.points, self.n, axis=0), self.fibers.ravel()])
-
-    def to_json(self) -> dict:
-        out = self.base.to_json()
-        out["n"] = self.n
-        out["fibers"] = fibers_to_json(self.fibers)
-        out["flagged"] = list(self.flagged)
-        return out
-
-    @staticmethod
-    def from_json(data: dict) -> "Multigraph":
-        base = SampledCompact.from_json(data)
-        return Multigraph(base, fibers_from_json(data["fibers"]), int(data["n"]),
-                          tuple(data.get("flagged", ())))
 
 
 # ---------------------------------------------------------------------------

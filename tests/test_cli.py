@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hyperapprox.cli import COMMANDS, ConfigError, ExperimentConfig, main, run
+from hyperapprox.cli import (COMMANDS, ConfigError, ExperimentConfig, _multigraphs_json, _read_forward,
+                             main, run)
 
 FORWARD_CFG = {
     "command": "forward",
@@ -58,12 +59,15 @@ _EXTREMAL = {"command": "extremal", "shape": {"kind": "disc", "center": [0.0, 0.
 
 
 def test_config_round_trip():
-    # one config per command; the echo holds exactly the fields set, plus out_dir
-    for cfg in (FORWARD_CFG, {"command": "converse", "from_forward": "results.json"}, SCALAR_CFG,
-                _STAIRCASE, _CLOSURE, dict(_EXTREMAL, grid_step=0.1)):
+    # one config per command; the echo holds the fields set, out_dir, and the
+    # table's default of every field left out that has one
+    for cfg, defaults in ((FORWARD_CFG, {}), ({"command": "converse", "from_forward": "results.json"}, {}),
+                          (SCALAR_CFG, {}), (_STAIRCASE, {}),
+                          (_CLOSURE, {"nu_list": [10.0, 100.0, 1000.0]}),
+                          (_EXTREMAL, {"grid_step": 0.05}), (dict(_EXTREMAL, grid_step=0.1), {})):
         config = ExperimentConfig.from_json(cfg)
         assert ExperimentConfig.from_json(config.to_json()) == config
-        assert config.to_json() == {"out_dir": "results", **cfg}
+        assert config.to_json() == {"out_dir": "results", **defaults, **cfg}
 
 
 @pytest.mark.parametrize("cfg, flags, message", [
@@ -81,9 +85,12 @@ def test_config_round_trip():
     ({"command": "converse", "x0_index": 0}, [], "unknown field 'x0_index'"),
     (dict(_CLOSURE, box_height=-1), [], "unknown field 'box_height'"),
     (dict(_EXTREMAL, h=0.01), [], "unknown field 'h'"),
+    ({"command": "converse", "multigraph_paths": ["w1.json"]}, [], "unknown field 'multigraph_paths'"),
+    ({"command": "converse", "limit_path": "limit.json"}, [], "unknown field 'limit_path'"),
 ], ids=["seed", "forward-mode", "scalar-mode", "converse-n", "seed-flag",
         "store-multigraphs", "mesh-flag", "tol-flag", "scalar-tol", "forward-tol",
-        "converse-tol", "converse-x0-index", "closure-box-height", "extremal-h"])
+        "converse-tol", "converse-x0-index", "closure-box-height", "extremal-h",
+        "converse-multigraph-paths", "converse-limit-path"])
 def test_removed_setting_exits_2(forward_results, tmp_path, capsys, cfg, flags, message):
     if cfg["command"] == "converse":
         cfg = dict(cfg, from_forward=forward_results)
@@ -199,8 +206,9 @@ def test_invalid_shape_exits_2(tmp_path, capsys, cfg):
 @pytest.mark.parametrize("cfg, field", [
     (FORWARD_CFG, "shape"), (FORWARD_CFG, "fiber_degree"), (FORWARD_CFG, "coefficients"),
     (FORWARD_CFG, "d_range"), (SCALAR_CFG, "function"), (_STAIRCASE, "k_max"), (_EXTREMAL, "shape"),
+    ({"command": "converse", "from_forward": "results.json"}, "from_forward"),
 ], ids=["forward-shape", "fiber-degree", "coefficients", "d-range", "function", "k-max",
-        "extremal-shape"])
+        "extremal-shape", "from-forward"])
 def test_missing_required_field_exits_2(tmp_path, capsys, cfg, field):
     cfg = {key: value for key, value in cfg.items() if key != field}
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
@@ -286,7 +294,7 @@ def test_converse_run_from_forward(tmp_path):
 def test_converse_failed_check_exits_3_unflagged(tmp_path):
     # a_2 reaches its floor after three entries: the verdict is inconclusive,
     # which fails a named check without a numerical failure
-    from hyperapprox.sets_metrics import fibers_to_json, sample_segment
+    from hyperapprox.sets_metrics import sample_segment
     from tests.test_converse import _perturbed_sequence
 
     K = sample_segment(-1.0, 1.0, 21)
@@ -295,11 +303,8 @@ def test_converse_failed_check_exits_3_unflagged(tmp_path):
     steps = [0.1 * 0.5 ** d * np.array([1.0, 0.01 if d <= 3 else 0.0]) for d in range(1, 13)]
     limit, w_seq = _perturbed_sequence(K, coeffs, steps)
     forward_path = tmp_path / "forward.json"
-    forward_path.write_text(json.dumps({
-        "target_multigraph": limit.to_json(),
-        "approximant_multigraphs": [{"d": d, "fibers": fibers_to_json(w.fibers)}
-                                    for d, w in enumerate(w_seq, start=1)],
-    }))
+    forward_path.write_text(json.dumps(
+        _multigraphs_json(limit, [(d, w.fibers) for d, w in enumerate(w_seq, start=1)])))
     cfg = {"command": "converse", "from_forward": str(forward_path)}
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
@@ -310,60 +315,86 @@ def test_converse_failed_check_exits_3_unflagged(tmp_path):
                                  "theta_envelope_ok": True}
 
 
-@pytest.mark.parametrize("given", [["limit_path"], ["multigraph_paths"],
-                                   ["multigraph_paths", "limit_path"]],
-                         ids=["limit", "multigraphs", "both"])
-def test_converse_conflicting_inputs_exit_2(forward_results, tmp_path, capsys, given):
-    # the ignored paths name no file, and the run must still refuse them
-    values = {"multigraph_paths": [str(tmp_path / "w1.json")], "limit_path": str(tmp_path / "limit.json")}
-    cfg = {"command": "converse", "from_forward": forward_results, **{k: values[k] for k in given}}
-    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert all(f"'{field}'" in err for field in ("from_forward", *given))
+def test_forward_artifact_round_trip_is_exact(tmp_path):
+    # the one writer and the one reader, through a from_forward file: signed
+    # zeros in base points and fibers come back bit for bit, and so does m = 2
+    from hyperapprox.extremal import Box
+    from hyperapprox.sets_metrics import Multigraph, SampledCompact
+
+    points = np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)], [0.5, complex(-0.0, 2.0)]])
+    base = SampledCompact(points, mesh=0.25, ambient_diam=3.0, shape=Box(((-1.0, 1.0), (0.0, 2.0))))
+    fibers = np.array([[complex(1.0, -0.0), -1.0], [complex(0.5, -0.0), complex(2.0, 1e-300)]])
+    assert np.signbit(fibers.imag).tolist() == [[True, False], [True, False]]
+    target = Multigraph(base, fibers, 2)
+    path = tmp_path / "results.json"
+    path.write_text(json.dumps(_multigraphs_json(target, [(3, -fibers), (4, fibers)])))
+    limit, w_seq, d_values = _read_forward(str(path))
+    assert d_values == [3, 4] and limit.n == 2 and limit.base.mesh == 0.25
+    for got, want in ((limit.base.points, points), (limit.fibers, fibers),
+                      (w_seq[0].fibers, -fibers), (w_seq[1].fibers, fibers)):
+        assert got.shape == want.shape
+        for part in ("real", "imag"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-@pytest.fixture(scope="module")
-def multigraph_files(tmp_path_factory):
-    """Forward t^2 - (x + 2) on 101 points, d = 1..8, stored as one file per multigraph."""
-    from hyperapprox.algebra import Const, Polynomial, Pseudopolynomial
-    from hyperapprox.forward import forward_rate_experiment
-    from hyperapprox.sets_metrics import Multigraph, sample_segment
-
-    out = tmp_path_factory.mktemp("multigraphs")
-    K = sample_segment(-1.0, 1.0, 101)
-    a2 = Polynomial.from_coeffs_1d([-2.0, -1.0])
-    exp = forward_rate_experiment(Pseudopolynomial(2, (Const(0.0), a2)), K, range(1, 9))
-    limit_path = out / "limit.json"
-    limit_path.write_text(json.dumps(exp.target.to_json()))
-    paths = []
-    for r in exp.records:
-        pth = out / f"w{r.d}.json"
-        pth.write_text(json.dumps(Multigraph(K, r.fibers, 2).to_json()))
-        paths.append(str(pth))
-    return {"command": "converse", "multigraph_paths": paths, "limit_path": str(limit_path)}
-
-
-def test_converse_run_from_multigraph_files(multigraph_files, tmp_path):
+@pytest.mark.parametrize("cfg", [
+    FORWARD_CFG,
+    dict(FORWARD_CFG, shape=_BOX, samples=49, d_range=[0, 5]),
+], ids=["m1", "m2"])
+def test_forward_artifact_layout(tmp_path, cfg):
+    # the keys and nesting of results.json that bench/workloads.py reads
     out = tmp_path / "out"
-    assert main(["run", _write_cfg(tmp_path, multigraph_files), "--out", str(out)]) == 0
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
-    assert results["verdict"] == "holomorphic-witness"
+    assert set(results) == {"config", "checks", "fits", "records", "target_multigraph",
+                            "approximant_multigraphs"}
+    assert set(results["fits"]) == {"delta", "graph_dh", "coefficients"}
+    target = results["target_multigraph"]
+    assert set(target) == {"m", "points", "mesh", "ambient_diam", "shape", "n", "fibers", "flagged"}
+    m, n = target["m"], target["n"]
+    assert (m, n) == (len(cfg["shape"].get("intervals", [0])), 2)
+    count = len(target["points"])
+    assert all(len(row) == 2 * m and all(type(v) is float for v in row) for row in target["points"])
+    if m == 1:  # row i is [re x_i, im x_i]
+        assert [row[0] for row in target["points"]] == np.linspace(-1.0, 1.0, count).tolist()
+        assert {row[1] for row in target["points"]} == {0.0}
+    degrees = [r["d"] for r in results["records"]]
+    assert [e["d"] for e in results["approximant_multigraphs"]] == degrees
+    for entry in [target] + results["approximant_multigraphs"]:
+        fibers = entry["fibers"]
+        assert len(fibers) == count
+        assert all(len(f) == n and all(len(p) == 2 for p in f) for f in fibers)
+    assert set(results["approximant_multigraphs"][-1]) == {"d", "fibers"}
+    assert type(results["records"][-1]["delta"]) is float
 
 
-@pytest.mark.parametrize("mismatch", ["base", "n"])
-def test_converse_multigraph_file_unlike_limit_exits_2(multigraph_files, tmp_path, capsys, mismatch):
-    from hyperapprox.sets_metrics import Multigraph, sample_segment
+def test_forward_flagged_point_exits_3(tmp_path, monkeypatch, capsys):
+    # a root-solver flag fails a named check; the artifact is still written,
+    # and converse refuses its flagged target
+    from hyperapprox import forward
 
-    w = Multigraph.from_json(json.loads(Path(multigraph_files["multigraph_paths"][-1]).read_text()))
-    if mismatch == "base":
-        bad = Multigraph(sample_segment(-1.0, 0.9, w.base.count), w.fibers, 2)
-    else:
-        bad = Multigraph(w.base, np.column_stack([w.fibers, np.zeros(w.base.count)]), 3)
-    bad_path = tmp_path / "bad.json"
-    bad_path.write_text(json.dumps(bad.to_json()))
-    cfg = dict(multigraph_files, multigraph_paths=[*multigraph_files["multigraph_paths"][:-1], str(bad_path)])
-    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
-    assert str(bad_path) in capsys.readouterr().err
+    solve = forward.solve_monic_batch
+
+    def flag_row_3(coeffs):
+        roots, res, iterations, tol_used, converged = solve(coeffs)
+        converged = converged.copy()
+        converged[3] = False
+        return roots, res, iterations, tol_used, converged
+
+    monkeypatch.setattr(forward, "solve_monic_batch", flag_row_3)
+    out = tmp_path / "fwd"
+    with pytest.warns(RuntimeWarning, match="flagged 1 sample point"):
+        assert main(["run", _write_cfg(tmp_path, FORWARD_CFG), "--out", str(out)]) == 3
+    results = json.loads((out / "results.json").read_text())
+    assert "flagged" not in results
+    assert [k for k, ok in results["checks"].items() if not ok] == ["no_flagged_points"]
+    assert results["target_multigraph"]["flagged"] == [3]
+    assert {r["flagged_count"] for r in results["records"]} == {1}
+    cfg = {"command": "converse", "from_forward": str(out / "results.json")}
+    capsys.readouterr()
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "conv")]) == 2
+    assert "flagged" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -406,19 +437,51 @@ def test_converse_ragged_fibers_exit_2(tmp_path, capsys):
     assert str(results_path) in capsys.readouterr().err
 
 
-def test_converse_malformed_multigraph_file_exit_2(tmp_path, capsys):
-    from hyperapprox.sets_metrics import Multigraph, SampledCompact
-
-    base = SampledCompact([[0.0], [1.0]], mesh=0.5, ambient_diam=1.0)
-    limit = Multigraph(base, [[1.0, -1.0], [2.0, -2.0]], 2).to_json()
-    limit_path = tmp_path / "limit.json"
-    limit_path.write_text(json.dumps(limit))
-    bad = dict(limit, fibers=[[1.0, -1.0], [2.0, -2.0]])  # bare numbers, not [re, im]
-    bad_path = tmp_path / "w1.json"
-    bad_path.write_text(json.dumps(bad))
-    cfg = {"command": "converse", "multigraph_paths": [str(bad_path)], "limit_path": str(limit_path)}
+def test_converse_malformed_multigraph_file_exit_2(forward_results, tmp_path, capsys):
+    data = json.loads(Path(forward_results).read_text())
+    entry = data["approximant_multigraphs"][-1]
+    entry["fibers"] = [[re for re, _im in fiber] for fiber in entry["fibers"]]  # bare numbers
+    bad_path = tmp_path / "results.json"
+    bad_path.write_text(json.dumps(data))
+    cfg = {"command": "converse", "from_forward": str(bad_path)}
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     assert str(bad_path) in capsys.readouterr().err
+
+
+def _ragged_target(data):
+    data["target_multigraph"]["fibers"][17].pop()
+
+
+def _triple_pairs(data):
+    for fiber in data["approximant_multigraphs"][0]["fibers"]:
+        for pair in fiber:
+            pair.append(0.0)
+
+
+def _fiber_count_unlike_base(data):
+    data["approximant_multigraphs"][2]["fibers"].pop()
+
+
+def _wide_points(data):
+    for row in data["target_multigraph"]["points"]:
+        row.append(0.0)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_ragged_target, "no valid multigraph data"),  # numpy words the ragged-list error
+    (_triple_pairs, "[re, im] pairs"),
+    (_fiber_count_unlike_base, "per base sample point"),
+    (_wide_points, "rows of 2m = 2 numbers"),
+], ids=["ragged-target", "triple", "fiber-shape", "points-width"])
+def test_converse_malformed_forward_file_exits_2(forward_results, tmp_path, capsys, corrupt, message):
+    data = json.loads(Path(forward_results).read_text())
+    corrupt(data)
+    bad_path = tmp_path / "results.json"
+    bad_path.write_text(json.dumps(data))
+    cfg = {"command": "converse", "from_forward": str(bad_path)}
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad_path) in err and message in err
 
 
 def _nan_target_fiber(data):
@@ -433,10 +496,17 @@ def _nan_base_point(data):
     data["target_multigraph"]["points"][17][0] = float("nan")
 
 
-@pytest.mark.parametrize("corrupt", [_nan_target_fiber, _nan_approximant_fiber, _nan_base_point],
-                         ids=["target-fiber", "approximant-fiber", "base-point"])
-def test_converse_non_finite_input_exits_2(forward_results, tmp_path, capsys, corrupt):
-    # a NaN read from the forward output is bad input, not a failed hypothesis
+def _flagged_target(data):
+    data["target_multigraph"]["flagged"] = [17]
+
+
+@pytest.mark.parametrize("corrupt, word", [
+    (_nan_target_fiber, "finite"), (_nan_approximant_fiber, "finite"), (_nan_base_point, "finite"),
+    (_flagged_target, "flagged"),
+], ids=["target-fiber", "approximant-fiber", "base-point", "flagged-target"])
+def test_converse_non_finite_input_exits_2(forward_results, tmp_path, capsys, corrupt, word):
+    # a NaN or a flagged target point read from the forward output is bad
+    # input, not a failed hypothesis
     data = json.loads(Path(forward_results).read_text())
     corrupt(data)
     results_path = tmp_path / "results.json"
@@ -445,7 +515,7 @@ def test_converse_non_finite_input_exits_2(forward_results, tmp_path, capsys, co
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert str(results_path) in err
-    assert "finite" in err
+    assert word in err
 
 
 @pytest.fixture(scope="module")

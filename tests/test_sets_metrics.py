@@ -7,8 +7,6 @@ from hyperapprox.sets_metrics import (
     Multigraph,
     SampledCompact,
     fiber_profile,
-    fibers_from_json,
-    fibers_to_json,
     fiberwise_hausdorff,
     fit_geometric_rate,
     hausdorff,
@@ -309,44 +307,3 @@ def test_box_sampler_dimension():
     sc = sample_box([(-1.0, 1.0), (0.0, 2.0)], per_axis=9)
     assert sc.m == 2
     assert sc.count == 81
-
-
-def test_compact_json_round_trip():
-    sc = sample_segment(-1.0, 2.0, 11)
-    again = SampledCompact.from_json(sc.to_json())
-    assert np.array_equal(again.points, sc.points)
-    assert again.mesh == sc.mesh
-    assert again.shape is not None
-
-
-def test_multigraph_json_round_trip():
-    y = _mg([0.0, 1.0], [[1.0, -1.0], [0.5j, 2.0]], 2)
-    again = Multigraph.from_json(y.to_json())
-    assert np.array_equal(again.base.points, y.base.points)
-    for f, g in zip(again.fibers, y.fibers):
-        assert np.array_equal(f, g)
-
-
-def test_fiber_codec_round_trip_is_exact():
-    fibers = np.array([[complex(1.0, -0.0), -1.0], [complex(0.5, -0.0), complex(2.0, 1e-300)]])
-    assert np.signbit(fibers.imag).tolist() == [[True, False], [True, False]]
-    # base points with -0.0 parts take the SampledCompact codec's path
-    y = _mg([complex(-0.0, -0.0), complex(1.0, -0.0)], fibers, 2)
-    first = y.to_json()
-    again = Multigraph.from_json(json.loads(json.dumps(first)))
-    assert json.dumps(again.to_json()) == json.dumps(first)
-    assert np.signbit(again.fibers.imag).tolist() == [[True, False], [True, False]]
-    pts = again.base.points[:, 0]
-    assert np.signbit(pts.real).tolist() == [True, False]
-    assert np.signbit(pts.imag).tolist() == [True, True]
-    assert np.array_equal(fibers_from_json(fibers_to_json(fibers)), fibers)
-
-
-@pytest.mark.parametrize("bad", [
-    [[[1.0, 0.0], [2.0, 0.0]], [[1.0, 0.0]]],  # ragged
-    [[1.0, 2.0], [3.0, 4.0]],  # bare numbers, not [re, im] pairs
-    [[[1.0, 0.0, 0.0]], [[2.0, 0.0, 0.0]]],  # triples
-])
-def test_fiber_codec_rejects_malformed_input(bad):
-    with pytest.raises(ValueError):
-        fibers_from_json(bad)
