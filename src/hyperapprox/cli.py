@@ -219,6 +219,8 @@ def _run_forward(cfg: dict, out: Path) -> dict:
                 "delta": r.delta,
                 "graph_dh": r.graph_dh,
                 "flagged_count": r.flagged_count,
+                "rank": r.rank,
+                "basis_dim": r.basis_dim,
             }
             for r in exp.records
         ],

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import Pseudopolynomial, vieta_from_roots
-from .chebyshev import basis_dimension, best_approx
+from .chebyshev import basis_dimension, least_squares
 from .roots import DEFAULT_TOL, match_bottlenecks, min_gaps
 from .sets_metrics import (
     RATE_FLOOR,
@@ -250,9 +250,7 @@ def converse_experiment(w_seq, limit: Multigraph, *, d_values=None) -> ConverseR
     fit_deg = d_values[-1]
     while fit_deg > 0 and basis_dimension(base.m, fit_deg) > base.count:
         fit_deg -= 1
-    reconstructed = Pseudopolynomial(n, tuple(
-        best_approx(rec[:, k], base, fit_deg, mode="least-squares").poly for k in range(n)
-    ))
+    reconstructed = Pseudopolynomial(n, tuple(r.poly for r in least_squares(rec, base, fit_deg)))
 
     fit_verdicts = {f.verdict for f in coeff_fits}
     if "not-geometric" in fit_verdicts:

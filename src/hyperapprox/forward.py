@@ -1,13 +1,13 @@
 """Forward pipeline: from a pseudopolynomial with analytic coefficients on a
 standard compact K, build degree-d algebraic approximants (coefficient-wise
-best approximation), sample both zero multigraphs, and fit the decay of the
+least-squares fits), sample both zero multigraphs, and fit the decay of the
 fiberwise and graph Hausdorff distances across the degree range.
 
 The pipeline reads F once, as its (N, n) array of coefficient samples on K.
 That array gives the target multigraph, the fit floor's scale and every
-degree's fits; each approximant's coefficient samples are the values its
-fits already computed.  Target and approximants share one solve path,
-sample_multigraph.
+degree's fits, one least-squares solve per degree for all n columns; each
+approximant's coefficient samples are the values its fits already
+computed.  Target and approximants share one solve path, sample_multigraph.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Pseudopolynomial, assembled_degree_bound
-from .chebyshev import best_approx
+from .chebyshev import basis_dimension, least_squares
 from .roots import DEFAULT_TOL, min_gaps, solve_monic_batch
 from .sets_metrics import (
     RATE_FLOOR,
@@ -69,7 +69,9 @@ class ForwardRecord:
     d: int
     deg_bound: int
     coeff_polys: tuple
-    coeff_errors: tuple
+    coeff_errors: tuple  # least-squares sup errors on the samples
+    rank: int  # rank of the degree-d fit's Vandermonde matrix
+    basis_dim: int
     delta: float
     graph_dh: float
     flagged_count: int
@@ -102,6 +104,8 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
     Requires at least 6 distinct degrees with max degree >= the fiber degree
     n.  The rate fits mask entries below the solver resolution floor (10 *
     DEFAULT_TOL * coefficient scale): distances there measure rounding.
+    Each degree's fit records its rank against its basis dimension, and a
+    rank-deficient fit fails the full_rank check.
     """
     d_list = degree_list(d_range, F.n)
     if K.shape is None:
@@ -113,7 +117,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
     fit_floor = max(RATE_FLOOR, 10.0 * DEFAULT_TOL * coeff_scale)
 
     def run_degree(d: int):
-        fits = [best_approx(coeffs[:, j], K, d) for j in range(F.n)]
+        fits = least_squares(coeffs, K, d)
         approx_mg = sample_multigraph(K, np.column_stack([r.values for r in fits]))
         keep = ~np.isin(np.arange(K.count), target.flagged + approx_mg.flagged)
         if not keep.any():
@@ -124,6 +128,8 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
             deg_bound=assembled_degree_bound(d, F.n),
             coeff_polys=tuple(r.poly for r in fits),
             coeff_errors=tuple(r.error for r in fits),
+            rank=fits[0].rank,
+            basis_dim=basis_dimension(K.m, d),
             delta=dist.delta,
             graph_dh=dist.graph_dh,
             flagged_count=int(K.count - keep.sum()),
@@ -147,6 +153,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
         ),
         "delta_rate_geometric": delta_fit.verdict == "geometric",
         "no_flagged_points": not target.flagged and all(r.flagged_count == 0 for r in records),
+        "full_rank": all(r.rank == r.basis_dim for r in records),
     }
     # rate chain: fiber distances may only be slower than coefficients by the
     # 1/n root, up to a fitting tolerance

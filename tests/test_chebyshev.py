@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperapprox.chebyshev import basis_dimension, best_approx, scalar_bws_rate
-from hyperapprox.sets_metrics import SampledCompact, sample_box, sample_segment
+from hyperapprox.chebyshev import basis_dimension, best_approx, least_squares, scalar_bws_rate
+from hyperapprox.sets_metrics import SampledCompact, sample_box, sample_disc, sample_segment
 from tests.oracles import exp_cheb_tail, grid_minimax_constant
 
 
@@ -23,7 +23,7 @@ def test_reproduces_polynomial(segment_401):
 
 def test_constant_minimax_matches_grid_oracle(segment_401):
     f = np.exp(segment_401.points[:, 0]).real
-    res = best_approx(f, segment_401, 0, mode="minimax")
+    res = best_approx(f, segment_401, 0)
     oracle = grid_minimax_constant(f)
     assert res.error == pytest.approx(oracle, rel=1e-3)
     assert res.error == pytest.approx((np.e - 1.0 / np.e) / 2.0, rel=1e-3)
@@ -32,8 +32,8 @@ def test_constant_minimax_matches_grid_oracle(segment_401):
 def test_least_squares_upper_bounds_minimax(segment_401):
     f = np.exp(segment_401.points[:, 0])
     for d in (0, 2, 5):
-        mm = best_approx(f, segment_401, d, mode="minimax").error
-        ls = best_approx(f, segment_401, d, mode="least-squares").error
+        mm = best_approx(f, segment_401, d).error
+        ls = least_squares(f, segment_401, d)[0].error
         assert mm <= ls + 1e-15
 
 
@@ -48,11 +48,46 @@ def test_rank_error_names_rank():
     sc = sample_segment(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="rank"):
         best_approx(np.ones(5), sc, 5)
+    with pytest.raises(ValueError, match="rank"):
+        least_squares(np.ones((5, 3)), sc, 5)
 
 
-def test_rejects_bad_mode(segment_401):
-    with pytest.raises(ValueError):
-        best_approx(np.ones(segment_401.count), segment_401, 1, mode="remez")
+# every fit's error is far above rounding (1e-4 or more), so agreement to
+# rel 1e-12 compares the fits rather than the rounding of the two solves
+_BATCH_CASES = {
+    "real-box": (
+        sample_box([(-1.0, 2.0), (0.0, 1.0)], 12), 5,
+        lambda z: np.exp(z[:, 0] * z[:, 1]),
+        lambda z: 1.0 / (4.0 - z[:, 0] - z[:, 1]),
+        lambda z: np.cos(2.0 * z[:, 0]) * z[:, 1],
+    ),
+    "complex-disc": (
+        sample_disc(0.5j, 1.0, 15), 6,
+        lambda z: np.exp(z[:, 0]),
+        lambda z: 1.0 / (z[:, 0] - 2.5),
+        lambda z: np.sin(z[:, 0]) + 1j * z[:, 0] ** 2,
+    ),
+    "real-beside-complex": (
+        sample_segment(-1.0, 1.0, 101), 3,
+        lambda z: np.exp(z[:, 0]),
+        lambda z: np.cos(3.0 * z[:, 0]) + 1j / (z[:, 0] - 1.5),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_BATCH_CASES))
+def test_least_squares_column_matches_one_column_fit(case):
+    K, d, *fns = _BATCH_CASES[case]
+    F = np.column_stack([fn(K.points) for fn in fns])
+    batch = least_squares(F, K, d)
+    assert len(batch) == F.shape[1]
+    for j, res in enumerate(batch):
+        (alone,) = least_squares(F[:, j], K, d)
+        assert res.error == pytest.approx(alone.error, rel=1e-12, abs=0.0)
+        assert np.abs(res.values - alone.values).max() <= 1e-12 * np.abs(alone.values).max()
+        assert res.iterations == 1 and res.rank == basis_dimension(K.m, d)
+        assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
+        assert res.error == np.abs(F[:, j] - res.values).max()
 
 
 def test_basis_dimension():
@@ -124,6 +159,13 @@ _UNIT_SAMPLES = {
 }
 
 
+# the two fits, each returning one ApproxResult for one column of samples
+_FITS = {
+    "minimax": best_approx,
+    "least-squares": lambda f, K, d: least_squares(f, K, d)[0],
+}
+
+
 @st.composite
 def _affine_case(draw):
     shape = draw(st.sampled_from(["segment", "box"]))
@@ -134,8 +176,8 @@ def _affine_case(draw):
     scale = [draw(st.floats(0.05, 5.0)) for _ in range(m)]
     fn = draw(st.integers(0, len(_UNIT_FUNCTIONS[shape]) - 1))
     d = draw(st.integers(0, 14 if shape == "segment" else 6))
-    mode = draw(st.sampled_from(["minimax", "least-squares"]))
-    return shape, np.array(center), np.array(scale), fn, d, mode
+    fit = draw(st.sampled_from(list(_FITS)))
+    return shape, np.array(center), np.array(scale), fn, d, fit
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -143,12 +185,12 @@ def _affine_case(draw):
 def test_error_invariant_under_affine_maps(case):
     # the same function values on an affine image of the unit sample give
     # the same approximation error as on the unit sample itself
-    shape, center, scale, fn, d, mode = case
+    shape, center, scale, fn, d, fit = case
     unit = _UNIT_SAMPLES[shape]
     f = _UNIT_FUNCTIONS[shape][fn](unit.points)
     K = SampledCompact(center + scale * unit.points, mesh=unit.mesh * scale.max())
-    want = best_approx(f, unit, d, mode=mode).error
-    got = best_approx(f, K, d, mode=mode)
+    want = _FITS[fit](f, unit, d).error
+    got = _FITS[fit](f, K, d)
     assert abs(got.error - want) <= max(1e-6 * want, 1e-12)
     assert np.allclose(got.poly.center, center, rtol=0, atol=1e-12 * (1 + np.abs(center)))
     assert np.allclose(got.poly.scale, scale, rtol=1e-12)
@@ -164,10 +206,10 @@ def test_translated_segment_keeps_its_map():
     assert res.error == np.abs(np.exp(x - 10.0) - res.poly.evaluate_many(K.points)).max()
 
 
-@pytest.mark.parametrize("mode", ["minimax", "least-squares"])
-def test_values_are_the_polynomial_on_the_samples(mode):
+@pytest.mark.parametrize("fit", list(_FITS))
+def test_values_are_the_polynomial_on_the_samples(fit):
     K = sample_box([(-1.0, 2.0), (0.0, 1.0)], 9)
     f = np.exp(K.points[:, 0] * K.points[:, 1]) + 1j * np.sin(K.points[:, 0])
-    res = best_approx(f, K, 4, mode=mode)
+    res = _FITS[fit](f, K, 4)
     assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
     assert res.error == np.abs(f - res.values).max()

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -367,6 +368,7 @@ def test_forward_artifact_layout(tmp_path, cfg):
         assert all(len(f) == n and all(len(p) == 2 for p in f) for f in fibers)
     assert set(results["approximant_multigraphs"][-1]) == {"d", "fibers"}
     assert type(results["records"][-1]["delta"]) is float
+    assert all(r["rank"] == r["basis_dim"] for r in results["records"])
 
 
 def test_forward_flagged_point_exits_3(tmp_path, monkeypatch, capsys):
@@ -395,6 +397,25 @@ def test_forward_flagged_point_exits_3(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "conv")]) == 2
     assert "flagged" in capsys.readouterr().err
+
+
+def test_forward_rank_loss_exits_3(tmp_path, monkeypatch):
+    # a rank-deficient fit fails a named check; the artifact is still written
+    from hyperapprox import forward
+
+    fit = forward.least_squares
+
+    def lose_one_rank(samples, points, d):
+        return tuple(dataclasses.replace(r, rank=r.rank - 1) for r in fit(samples, points, d))
+
+    monkeypatch.setattr(forward, "least_squares", lose_one_rank)
+    out = tmp_path / "fwd"
+    assert main(["run", _write_cfg(tmp_path, FORWARD_CFG), "--out", str(out)]) == 3
+    results = json.loads((out / "results.json").read_text())
+    assert "flagged" not in results
+    assert [k for k, ok in results["checks"].items() if not ok] == ["full_rank"]
+    assert all(r["rank"] == r["basis_dim"] - 1 == r["d"] for r in results["records"])
+    assert (out / "rates.csv").is_file()
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
@@ -583,7 +604,7 @@ def test_translated_segment_matches_unit_segment(tmp_path):
         for fwd, conv in ((fwd_u, conv_u), (fwd_t, conv_t))
     ]
     assert thetas[0] == pytest.approx(thetas[1], abs=1e-3)
-    assert abs(thetas[1][0] - 0.0735) <= 1e-3
+    assert abs(thetas[1][0] - 0.0740) <= 1e-3
     # the reconstructed witness loads back as a pseudopolynomial and
     # evaluates, on the translated base, to the unit run's values
     x = np.array(fwd_t["target_multigraph"]["points"])[:, :1]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hyperapprox.algebra import Const, Coord, Exp, Neg, Polynomial, Pseudopolynomial
-from hyperapprox.chebyshev import best_approx
+from hyperapprox import forward
+from hyperapprox.chebyshev import basis_dimension, least_squares
 from hyperapprox.forward import forward_rate_experiment, sample_multigraph
 from hyperapprox.roots import hoelder_check, match_roots
 from hyperapprox.sets_metrics import sample_circle, sample_segment
@@ -24,18 +25,36 @@ def test_algebraic_input_hits_floor(K401):
     a2 = Polynomial.from_coeffs_1d([-3.0, 0.0, 0.0, -1.0])  # -(x^3 + 3)
     F = Pseudopolynomial(2, (Const(0.0), a2))
     coeffs = F.coefficients_at(K401.points)
-    assert max(best_approx(coeffs[:, j], K401, 5).error for j in range(2)) <= 1e-10
+    assert max(r.error for r in least_squares(coeffs, K401, 5)) <= 1e-10
     exp = forward_rate_experiment(F, K401, range(3, 13))
     assert max(r.delta for r in exp.records) <= 1e-10
     assert exp.delta_fit.theta == 0.0
     assert exp.delta_fit.verdict == "geometric"
 
 
-def test_coefficient_error_equals_scalar_best_approx(exp_experiment, K401):
+def test_coefficient_error_equals_one_column_fit(exp_experiment, K401):
     # exp_experiment's F is t^2 - e^x
     (rec,) = [r for r in exp_experiment.records if r.d == 8]
-    direct = best_approx(-np.exp(K401.points[:, 0]), K401, 8).error
-    assert rec.coeff_errors[1] == pytest.approx(direct, rel=1e-9)
+    (direct,) = least_squares(-np.exp(K401.points[:, 0]), K401, 8)
+    assert rec.coeff_errors[1] == pytest.approx(direct.error, rel=1e-9)
+
+
+def test_one_fit_per_degree(K401, monkeypatch):
+    # all n coefficient columns of a degree share one least-squares solve
+    calls = []
+
+    def counted(samples, points, d):
+        calls.append((samples.shape, d))
+        return least_squares(samples, points, d)
+
+    monkeypatch.setattr(forward, "least_squares", counted)
+    F = Pseudopolynomial(3, (Const(0.5), Neg(Exp(Coord(0))), Const(0.1)))
+    exp = forward_rate_experiment(F, K401, range(3, 10))
+    assert calls == [((K401.count, 3), d) for d in range(3, 10)]
+    assert [(r.rank, r.basis_dim) for r in exp.records] == [
+        (basis_dimension(1, d), basis_dimension(1, d)) for d in range(3, 10)
+    ]
+    assert exp.checks["full_rank"]
 
 
 def test_forward_evaluates_F_once(K401, monkeypatch):
