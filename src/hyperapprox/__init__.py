@@ -4,19 +4,18 @@ Core pieces: multivariate polynomial / pseudopolynomial algebra, a batched
 companion-eigenvalue root solver with one Newton step, bottleneck root
 matching and the Hoelder-type perturbation bound, sampled compact sets
 with Hausdorff / fiberwise metrics and Kuratowski convergence checks,
-least-squares and discrete minimax approximation, the
-forward and converse rate pipelines, closed-form extremal functions for
-standard sets, and the staircase / closure counterexample demos.
+least-squares polynomial approximation, the forward and converse rate
+pipelines, closed-form extremal functions for standard sets, and the
+staircase / closure counterexample demos.
 """
 
 from .algebra import (
     Polynomial,
     Pseudopolynomial,
-    assembled_degree_bound,
     expr_from_json,
     vieta_from_roots,
 )
-from .chebyshev import ApproxResult, best_approx, least_squares, scalar_bws_rate
+from .chebyshev import ApproxResult, least_squares, scalar_bws_rate
 from .converse import (
     ConverseResult,
     LemmaConstants,

@@ -37,7 +37,6 @@ __all__ = [
     "Inv",
     "Pseudopolynomial",
     "vieta_from_roots",
-    "assembled_degree_bound",
     "expr_from_json",
     "expr_to_json",
     "check_num_vars",
@@ -372,11 +371,3 @@ def vieta_from_roots(roots) -> np.ndarray:
         coeffs[k + 1] = -r * coeffs[k]
         coeffs[1 : k + 1] -= r * coeffs[:k]
     return coeffs[1:].T.reshape(z.shape)
-
-
-def assembled_degree_bound(d: int, n: int) -> int:
-    """Degree bound max(n, d + n - 1) of t^n + a_1 t^(n-1) + ... + a_n with
-    deg a_j <= d; at most 2d - 1 whenever d >= n."""
-    if d < 0 or n < 1:
-        raise ValueError("need d >= 0 and n >= 1")
-    return max(n, d + n - 1)

@@ -1,17 +1,16 @@
-"""Discrete polynomial approximation on a sampled compact: batched least
-squares for the rate pipelines, Lawson minimax for the scalar rate analyzer.
+"""Discrete polynomial approximation on a sampled compact by least squares,
+for the forward and converse rate pipelines and the scalar rate analyzer.
 
 Every fit runs on the monomial basis in the coordinates w = (z - center) /
 scale that place the samples in the unit box, and the returned Polynomial
 keeps that affine map with the coefficients solved for, so a translated or
 rescaled compact gives the same approximation error.  least_squares fits
 every column of an (N, k) sample array with one solve; its sup error on
-the samples is an upper bound on the discrete minimax error, which is all
-the forward and converse rate arguments need.  best_approx runs Lawson's
-iteratively reweighted least squares towards the discrete minimax error,
-which scalar_bws_rate fits.  Each result carries the approximant's values
-on the samples, from which its error is computed, so the forward pipeline
-solves the approximant's fibers from them without evaluating it again.
+the samples is an upper bound on the discrete minimax error, and within
+the subexponential factor 1 + Lambda_d of it, which is all the rate
+arguments need.  Each result carries the approximant's values on the
+samples, from which its error is computed, so the forward pipeline solves
+the approximant's fibers from them without evaluating it again.
 """
 
 from __future__ import annotations
@@ -23,13 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import Polynomial, power_tables
-from .sets_metrics import RATE_FLOOR, RateFit, SampledCompact, degree_list, fit_geometric_rate
+from .sets_metrics import RateFit, SampledCompact, degree_list, fit_geometric_rate
 
-__all__ = ["ApproxResult", "least_squares", "best_approx", "scalar_bws_rate", "basis_dimension"]
-
-LAWSON_MAX_ITER = 200
-LAWSON_OSC_TOL = 1e-3
-EXACT_FLOOR = 1e-14
+__all__ = ["ApproxResult", "least_squares", "scalar_bws_rate", "basis_dimension"]
 
 
 def _multi_indices(m: int, d: int):
@@ -78,41 +73,35 @@ def _vandermonde(w: np.ndarray, exponents) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ApproxResult:
-    """A degree-<= d approximant with its discrete Chebyshev error.
+    """A degree-<= d least-squares approximant with its discrete sup error.
 
     values is poly evaluated on the samples, and error is max |f - values|:
     recomputed from the returned polynomial after the solve, not read off
-    the solver residual.
+    the solver residual.  rank is the rank of the Vandermonde solve.
     """
 
     poly: Polynomial
     error: float
-    iterations: int
     rank: int
     values: np.ndarray = field(repr=False)
 
 
-@dataclass(frozen=True)
-class _Design:
-    """Set-up shared by every fit: the (N, m) points, the samples as an (N, k)
-    array F, the graded exponents, the unit-box map, the Vandermonde matrix V
-    and the right-hand side.  V and rhs are real when both the mapped points
-    and the samples are."""
+def least_squares(F_samples, points, d: int) -> tuple[ApproxResult, ...]:
+    """Least-squares degree-<= d fits of every column of F_samples, one
+    result per column.
 
-    pts: np.ndarray
-    F: np.ndarray
-    exponents: list
-    centers: np.ndarray
-    scales: np.ndarray
-    V: np.ndarray
-    rhs: np.ndarray
-
-
-def _design(samples, points, d: int) -> _Design:
+    points may be a SampledCompact or an (N, m) complex array; F_samples is
+    (N, k), or (N,) for one column.  All columns share one Vandermonde
+    matrix and one lstsq solve, whose rank every result reports.  The fit
+    runs in the per-coordinate unit-box coordinates of the samples, and
+    each returned polynomial carries that center and scale with the solved
+    coefficients.  Each error is the fit's sup error on the samples, an
+    upper bound on the discrete minimax error.
+    """
     pts = points.points if isinstance(points, SampledCompact) else np.atleast_2d(
         np.asarray(points, dtype=complex)
     )
-    F = np.asarray(samples, dtype=complex)
+    F = np.asarray(F_samples, dtype=complex)
     if F.shape[0] != pts.shape[0]:
         raise ValueError("sample count mismatch between values and points")
     if d < 0:
@@ -128,96 +117,35 @@ def _design(samples, points, d: int) -> _Design:
 
     centers, scales = _affine_maps(pts)
     w = (pts - centers[None, :]) / scales[None, :]
-    real_case = bool(np.abs(w.imag).max(initial=0.0) == 0.0 and np.abs(F.imag).max(initial=0.0) == 0.0)
-    if real_case:
+    # V and the right-hand side are real when both the mapped points and the
+    # samples are
+    if np.abs(w.imag).max(initial=0.0) == 0.0 and np.abs(F.imag).max(initial=0.0) == 0.0:
         V = _vandermonde(w.real.astype(float), exponents)
         rhs = F.real.astype(float)
     else:
         V = _vandermonde(w.astype(complex), exponents)
         rhs = F
-    return _Design(pts, F, exponents, centers, scales, V, rhs)
+    coeffs, _, rank, _ = np.linalg.lstsq(V, rhs, rcond=None)
+    out = []
+    for j in range(F.shape[1]):
+        poly = Polynomial.from_terms(pts.shape[1], zip(exponents, coeffs[:, j]), centers, scales)
+        values = poly.evaluate_many(pts)
+        err = float(np.abs(F[:, j] - values).max())
+        out.append(ApproxResult(poly=poly, error=err, rank=int(rank), values=values))
+    return tuple(out)
 
 
-def _result(ds: _Design, f, coeffs, iterations: int, rank) -> ApproxResult:
-    """The fitted polynomial, its values on the samples and the error
-    recomputed from those values."""
-    poly = Polynomial.from_terms(ds.pts.shape[1], zip(ds.exponents, coeffs), ds.centers, ds.scales)
-    values = poly.evaluate_many(ds.pts)
-    err = float(np.abs(f - values).max())
-    return ApproxResult(poly=poly, error=err, iterations=iterations, rank=int(rank), values=values)
+def scalar_bws_rate(f_samples, K: SampledCompact, d_range) -> tuple[list, RateFit]:
+    """Geometric-rate fit of the least-squares approximation errors over a
+    degree range.
 
-
-def least_squares(F_samples, points, d: int) -> tuple[ApproxResult, ...]:
-    """Least-squares degree-<= d fits of every column of F_samples, one
-    result per column.
-
-    points may be a SampledCompact or an (N, m) complex array; F_samples is
-    (N, k), or (N,) for one column.  All columns share one Vandermonde
-    matrix and one lstsq solve, whose rank every result reports.  Each
-    error is the fit's sup error on the samples, an upper bound on the
-    discrete minimax error, and each result has iterations == 1.
+    Returns the (d, error) pairs in increasing degree and their fit.  Each
+    error lies within the factor 1 + Lambda_d of the discrete minimax error,
+    where Lambda_d is the sup norm of the least-squares projector on the
+    samples; that factor is subexponential, so the d-th roots give the same
+    rate.  A geometric verdict is the numerical witness that the d-th roots
+    of the errors stay below 1; the range must span at least 6 distinct
+    degrees.
     """
-    ds = _design(F_samples, points, d)
-    coeffs, _, rank, _ = np.linalg.lstsq(ds.V, ds.rhs, rcond=None)
-    return tuple(_result(ds, ds.F[:, j], coeffs[:, j], 1, rank) for j in range(ds.F.shape[1]))
-
-
-def best_approx(f_samples, points, d: int) -> ApproxResult:
-    """Best degree-<= d approximation on sampled points by Lawson's iteration.
-
-    points may be a SampledCompact or an (N, m) complex array; f_samples the
-    corresponding values.  Lawson-weighted reweighted least squares runs
-    until the weighted residual moduli equioscillate to 1e-3 relative
-    (capped at 200 iterations, keeping the best iterate).
-
-    The fit runs in the per-coordinate unit-box coordinates of the samples,
-    and the returned polynomial carries that center and scale with the
-    solved coefficients.  It is evaluated on the samples once: those values
-    are returned, and the error is recomputed from them.
-    """
-    f = np.asarray(f_samples, dtype=complex).ravel()
-    ds = _design(f, points, d)
-    V, rhs = ds.V, ds.rhs[:, 0]
-    scale = 1.0 + float(np.abs(f).max(initial=0.0))
-
-    def solve_weighted(weights):
-        sw = np.sqrt(weights)
-        coeffs, _, rank, _ = np.linalg.lstsq(V * sw[:, None], rhs * sw, rcond=None)
-        return coeffs, rank
-
-    weights = np.full(f.shape[0], 1.0 / f.shape[0])
-    coeffs, rank = solve_weighted(weights)
-    resid = np.abs(rhs - V @ coeffs)
-    best_coeffs, best_max, iterations = coeffs, float(resid.max()), 1
-
-    for it in range(2, LAWSON_MAX_ITER + 1):
-        total = float((weights * resid).sum())
-        if total <= 0.0 or best_max <= EXACT_FLOOR * scale:
-            break
-        weights = weights * resid / total
-        coeffs, rank = solve_weighted(weights)
-        resid = np.abs(rhs - V @ coeffs)
-        cur = float(resid.max())
-        iterations = it
-        if cur < best_max:
-            best_max, best_coeffs = cur, coeffs
-        support = weights > weights.max() * 1e-12
-        r_sup = resid[support]
-        if r_sup.size and r_sup.max() > 0:
-            osc = (r_sup.max() - r_sup.min()) / r_sup.max()
-            if osc <= LAWSON_OSC_TOL:
-                break
-
-    return _result(ds, f, best_coeffs, iterations, rank)
-
-
-def scalar_bws_rate(f_samples, K: SampledCompact, d_range,
-                    floor: float = RATE_FLOOR) -> tuple[list, RateFit]:
-    """Geometric-rate fit of the minimax approximation errors over a degree range.
-
-    Returns the (d, error) pairs in increasing degree and their fit.  A
-    geometric verdict is the numerical witness that the d-th roots of the
-    errors stay below 1; the range must span at least 6 distinct degrees.
-    """
-    errors = [(d, best_approx(f_samples, K, d).error) for d in degree_list(d_range)]
-    return errors, fit_geometric_rate(errors, floor=floor)
+    errors = [(d, least_squares(f_samples, K, d)[0].error) for d in degree_list(d_range)]
+    return errors, fit_geometric_rate(errors)

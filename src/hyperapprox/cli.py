@@ -214,7 +214,6 @@ def _run_forward(cfg: dict, out: Path) -> dict:
         "records": [
             {
                 "d": r.d,
-                "deg_bound": r.deg_bound,
                 "coeff_errors": [float(e) for e in r.coeff_errors],
                 "delta": r.delta,
                 "graph_dh": r.graph_dh,

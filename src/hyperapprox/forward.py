@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import Pseudopolynomial, assembled_degree_bound
+from .algebra import Pseudopolynomial
 from .chebyshev import basis_dimension, least_squares
 from .roots import DEFAULT_TOL, min_gaps, solve_monic_batch
 from .sets_metrics import (
@@ -67,7 +67,6 @@ def sample_multigraph(K: SampledCompact, coeffs: np.ndarray) -> Multigraph:
 @dataclass(frozen=True)
 class ForwardRecord:
     d: int
-    deg_bound: int
     coeff_polys: tuple
     coeff_errors: tuple  # least-squares sup errors on the samples
     rank: int  # rank of the degree-d fit's Vandermonde matrix
@@ -125,7 +124,6 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
         dist = fiberwise_hausdorff(target, approx_mg, keep)
         return ForwardRecord(
             d=d,
-            deg_bound=assembled_degree_bound(d, F.n),
             coeff_polys=tuple(r.poly for r in fits),
             coeff_errors=tuple(r.error for r in fits),
             rank=fits[0].rank,
@@ -148,9 +146,6 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
     # graph_dh <= delta holds on exact data; this named check is its one guard
     checks = {
         "graph_dh_le_delta": all(r.graph_dh <= r.delta + 1e-12 for r in records),
-        "degree_bound": all(
-            r.deg_bound <= 2 * r.d - 1 for r in records if r.d >= F.n
-        ),
         "delta_rate_geometric": delta_fit.verdict == "geometric",
         "no_flagged_points": not target.flagged and all(r.flagged_count == 0 for r in records),
         "full_rank": all(r.rank == r.basis_dim for r in records),

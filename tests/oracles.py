@@ -2,8 +2,10 @@
 
 These deliberately avoid the library's own code paths: mpmath's
 extended-precision polyroots for root solving, exhaustive permutations for
-bottleneck matching, grid search for the best constant approximation, the
-three-term Chebyshev recurrence for extremal-function growth, exact
+bottleneck matching, grid search for the best constant approximation, a
+linear program for the discrete minimax error, the Lebesgue constant of
+least squares from an orthonormal Chebyshev basis, the three-term
+Chebyshev recurrence for extremal-function growth, exact
 point-to-segment distances for the Hausdorff distance of polylines, and a
 direct walk of the JSON expression tree for coefficient functions.
 """
@@ -48,6 +50,39 @@ def grid_minimax_constant(values: np.ndarray, resolution: int = 200001) -> float
     cs = np.linspace(values.min(), values.max(), resolution)
     errs = np.abs(values[None, :] - cs[:, None]).max(axis=1)
     return float(errs.min())
+
+
+def lp_minimax(x, f, d: int) -> float:
+    """Discrete minimax error of real f by real degree-<= d polynomials on
+    the real points x, as the linear program min t subject to
+    |f_i - sum_k c_k T_k(x_i)| <= t, solved by HiGHS.
+
+    HiGHS solves to about 1e-7 feasibility, so errors below about 1e-8
+    come back as 0: use it only on errors above 1e-6.
+    """
+    from scipy.optimize import linprog
+
+    x = np.asarray(x, dtype=float)
+    f = np.asarray(f, dtype=float)
+    V = np.polynomial.chebyshev.chebvander(x, d)
+    ones = np.ones((x.size, 1))
+    res = linprog(
+        c=np.r_[np.zeros(d + 1), 1.0],
+        A_ub=np.block([[V, -ones], [-V, -ones]]),
+        b_ub=np.r_[f, -f],
+        bounds=[(None, None)] * (d + 1) + [(0.0, None)],
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def lebesgue_constant(x, d: int) -> float:
+    """Sup norm on the real points x of the discrete least-squares projector
+    onto degree-<= d polynomials: max_i sum_j |(Q Q^T)_ij|, with Q the
+    orthonormal factor of the Chebyshev-Vandermonde matrix."""
+    Q, _ = np.linalg.qr(np.polynomial.chebyshev.chebvander(np.asarray(x, dtype=float), d))
+    return float(np.abs(Q @ Q.T).sum(axis=1).max())
 
 
 def cheb_t(d: int, z: complex) -> complex:

@@ -17,7 +17,6 @@ from hyperapprox.algebra import (
     Neg,
     Polynomial,
     Pseudopolynomial,
-    assembled_degree_bound,
     expr_from_json,
     expr_to_json,
     vieta_from_roots,
@@ -109,19 +108,6 @@ def test_product_of_linear_factors_eval():
         x = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         direct = np.prod([f.evaluate(x) for f in factors])
         assert abs(prod.evaluate(x) - direct) <= 1e-12 * max(1.0, abs(direct))
-
-
-def test_degree_bound_examples():
-    assert assembled_degree_bound(5, 3) == 7
-    assert 7 <= 2 * 5 - 1
-    assert assembled_degree_bound(0, 1) == 1
-    assert assembled_degree_bound(4, 4) == 7 == 2 * 4 - 1
-
-
-def test_degree_bound_2d_minus_1_property():
-    for n in range(1, 6):
-        for d in range(n, 20):
-            assert assembled_degree_bound(d, n) <= 2 * d - 1
 
 
 def test_fiber_poly_exp_example():

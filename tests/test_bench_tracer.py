@@ -20,7 +20,7 @@ def test_tracer_leaves_no_wrapper_installed():
     assert tracer.installed_wrappers() == []
     with tracer.Tracer():
         installed = tracer.installed_wrappers()
-        assert any(name.endswith("chebyshev.best_approx") for name in installed)
+        assert any(name.endswith("chebyshev.least_squares") for name in installed)
         for short, cls_name, meth in tracer.METHODS:
             assert f"{tracer.PACKAGE}.{short}.{cls_name}.{meth}" in installed
     assert tracer.installed_wrappers() == []

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperapprox.chebyshev import basis_dimension, best_approx, least_squares, scalar_bws_rate
+from hyperapprox.chebyshev import basis_dimension, least_squares, scalar_bws_rate
 from hyperapprox.sets_metrics import SampledCompact, sample_box, sample_disc, sample_segment
-from tests.oracles import exp_cheb_tail, grid_minimax_constant
+from tests.oracles import exp_cheb_tail, grid_minimax_constant, lebesgue_constant, lp_minimax
 
 
 @pytest.fixture(scope="module")
@@ -16,30 +16,36 @@ def segment_401():
 def test_reproduces_polynomial(segment_401):
     x = segment_401.points[:, 0]
     f = 0.3 * x ** 3 - 1.2 * x + 0.7
-    res = best_approx(f, segment_401, 5)
+    (res,) = least_squares(f, segment_401, 5)
     assert res.error <= 1e-10
     assert np.abs(res.poly.evaluate_many(segment_401.points) - f).max() <= 1e-9
 
 
 def test_constant_minimax_matches_grid_oracle(segment_401):
-    f = np.exp(segment_401.points[:, 0]).real
-    res = best_approx(f, segment_401, 0)
+    # the least-squares constant lies within 1 + Lambda_0 = 2 of the grid's
+    # best constant
+    x = segment_401.points[:, 0].real
+    f = np.exp(x)
+    (res,) = least_squares(f, segment_401, 0)
     oracle = grid_minimax_constant(f)
-    assert res.error == pytest.approx(oracle, rel=1e-3)
-    assert res.error == pytest.approx((np.e - 1.0 / np.e) / 2.0, rel=1e-3)
+    assert oracle == pytest.approx((np.e - 1.0 / np.e) / 2.0, rel=1e-3)
+    lam0 = lebesgue_constant(x, 0)
+    assert lam0 == pytest.approx(1.0, rel=1e-12)
+    assert oracle <= res.error <= (1.0 + lam0) * oracle
 
 
 def test_least_squares_upper_bounds_minimax(segment_401):
-    f = np.exp(segment_401.points[:, 0])
+    x = segment_401.points[:, 0].real
+    f = np.exp(x)
     for d in (0, 2, 5):
-        mm = best_approx(f, segment_401, d).error
+        mm = lp_minimax(x, f, d)
         ls = least_squares(f, segment_401, d)[0].error
-        assert mm <= ls + 1e-15
+        assert 1e-6 < mm <= ls + 1e-15
 
 
 def test_error_monotone_in_degree(segment_401):
     f = np.exp(segment_401.points[:, 0])
-    errs = [best_approx(f, segment_401, d).error for d in range(0, 12)]
+    errs = [least_squares(f, segment_401, d)[0].error for d in range(0, 12)]
     for lo, hi in zip(errs[1:], errs[:-1]):
         assert lo <= hi + 1e-12
 
@@ -47,7 +53,7 @@ def test_error_monotone_in_degree(segment_401):
 def test_rank_error_names_rank():
     sc = sample_segment(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="rank"):
-        best_approx(np.ones(5), sc, 5)
+        least_squares(np.ones(5), sc, 5)
     with pytest.raises(ValueError, match="rank"):
         least_squares(np.ones((5, 3)), sc, 5)
 
@@ -85,7 +91,7 @@ def test_least_squares_column_matches_one_column_fit(case):
         (alone,) = least_squares(F[:, j], K, d)
         assert res.error == pytest.approx(alone.error, rel=1e-12, abs=0.0)
         assert np.abs(res.values - alone.values).max() <= 1e-12 * np.abs(alone.values).max()
-        assert res.iterations == 1 and res.rank == basis_dimension(K.m, d)
+        assert res.rank == basis_dimension(K.m, d)
         assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
         assert res.error == np.abs(F[:, j] - res.values).max()
 
@@ -99,7 +105,7 @@ def test_two_variable_fit():
     K = sample_box([(-1.0, 1.0), (-1.0, 1.0)], per_axis=15)
     x, y = K.points[:, 0], K.points[:, 1]
     f = (x * y + 0.5 * x ** 2).real
-    res = best_approx(f, K, 2)
+    (res,) = least_squares(f, K, 2)
     assert res.error <= 1e-10
 
 
@@ -107,19 +113,26 @@ def test_scalar_rate_exp_geometric(segment_401):
     f = np.exp(segment_401.points[:, 0])
     errors, fit = scalar_bws_rate(f, segment_401, range(15, -1, -1))
     assert [d for d, _ in errors] == list(range(16))
-    assert errors[5][1] == best_approx(f, segment_401, 5).error
+    assert errors[5][1] == least_squares(f, segment_401, 5)[0].error
     assert fit.verdict == "geometric"
     assert fit.theta < 0.5
 
 
 def test_scalar_rate_exp_cross_checked_against_chebyshev_series(segment_401):
-    f = np.exp(segment_401.points[:, 0])
-    for d in range(2, 11):
-        err = best_approx(f, segment_401, d).error
+    # the series tail bounds the minimax error from above, tightly; the
+    # least-squares error is at most 1 + Lambda_d times the minimax error
+    x = segment_401.points[:, 0].real
+    f = np.exp(x)
+    for d in range(0, 12):
+        err = least_squares(f, segment_401, d)[0].error
         tail = exp_cheb_tail(d)
-        # the series tail is an upper bound and tight within a small factor
-        assert err <= tail * 1.01 + 1e-13
-        assert err >= 0.05 * tail
+        assert 0.05 * tail <= err <= (1.0 + lebesgue_constant(x, d)) * tail * 1.01
+    # the minimax error itself, where the LP oracle resolves it
+    for d in range(2, 7):
+        mm = lp_minimax(x, f, d)
+        tail = exp_cheb_tail(d)
+        assert mm <= tail * 1.01 + 1e-13
+        assert mm >= 0.05 * tail
 
 
 def test_scalar_rate_abs_not_geometric(segment_401):
@@ -131,7 +144,7 @@ def test_scalar_rate_abs_not_geometric(segment_401):
 def test_scalar_rate_polynomial_floor(segment_401):
     x = segment_401.points[:, 0]
     f = x ** 2 - 0.25
-    _, fit = scalar_bws_rate(f, segment_401, range(2, 9), floor=1e-10)
+    _, fit = scalar_bws_rate(f, segment_401, range(2, 9))
     assert fit.verdict == "geometric"
     assert fit.theta == 0.0
 
@@ -159,13 +172,6 @@ _UNIT_SAMPLES = {
 }
 
 
-# the two fits, each returning one ApproxResult for one column of samples
-_FITS = {
-    "minimax": best_approx,
-    "least-squares": lambda f, K, d: least_squares(f, K, d)[0],
-}
-
-
 @st.composite
 def _affine_case(draw):
     shape = draw(st.sampled_from(["segment", "box"]))
@@ -176,8 +182,7 @@ def _affine_case(draw):
     scale = [draw(st.floats(0.05, 5.0)) for _ in range(m)]
     fn = draw(st.integers(0, len(_UNIT_FUNCTIONS[shape]) - 1))
     d = draw(st.integers(0, 14 if shape == "segment" else 6))
-    fit = draw(st.sampled_from(list(_FITS)))
-    return shape, np.array(center), np.array(scale), fn, d, fit
+    return shape, np.array(center), np.array(scale), fn, d
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -185,12 +190,12 @@ def _affine_case(draw):
 def test_error_invariant_under_affine_maps(case):
     # the same function values on an affine image of the unit sample give
     # the same approximation error as on the unit sample itself
-    shape, center, scale, fn, d, fit = case
+    shape, center, scale, fn, d = case
     unit = _UNIT_SAMPLES[shape]
     f = _UNIT_FUNCTIONS[shape][fn](unit.points)
     K = SampledCompact(center + scale * unit.points, mesh=unit.mesh * scale.max())
-    want = _FITS[fit](f, unit, d).error
-    got = _FITS[fit](f, K, d)
+    want = least_squares(f, unit, d)[0].error
+    (got,) = least_squares(f, K, d)
     assert abs(got.error - want) <= max(1e-6 * want, 1e-12)
     assert np.allclose(got.poly.center, center, rtol=0, atol=1e-12 * (1 + np.abs(center)))
     assert np.allclose(got.poly.scale, scale, rtol=1e-12)
@@ -199,17 +204,16 @@ def test_error_invariant_under_affine_maps(case):
 def test_translated_segment_keeps_its_map():
     K = sample_segment(9.0, 11.0, 401)
     x = K.points[:, 0]
-    res = best_approx(np.exp(x - 10.0), K, 20)
+    (res,) = least_squares(np.exp(x - 10.0), K, 20)
     assert res.error <= 1e-13
     assert res.poly.center == (10.0 + 0j,) and res.poly.scale == (1.0,)
     # the error is that of the returned polynomial
     assert res.error == np.abs(np.exp(x - 10.0) - res.poly.evaluate_many(K.points)).max()
 
 
-@pytest.mark.parametrize("fit", list(_FITS))
-def test_values_are_the_polynomial_on_the_samples(fit):
+def test_values_are_the_polynomial_on_the_samples():
     K = sample_box([(-1.0, 2.0), (0.0, 1.0)], 9)
     f = np.exp(K.points[:, 0] * K.points[:, 1]) + 1j * np.sin(K.points[:, 0])
-    res = _FITS[fit](f, K, 4)
+    (res,) = least_squares(f, K, 4)
     assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
     assert res.error == np.abs(f - res.values).max()

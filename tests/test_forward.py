@@ -120,12 +120,6 @@ def test_records_satisfy_graph_le_delta(exp_experiment):
         assert r.graph_dh <= r.delta + 1e-12
 
 
-def test_degree_bound_invariant(exp_experiment):
-    for r in exp_experiment.records:
-        if r.d >= exp_experiment.F.n:
-            assert r.deg_bound <= 2 * r.d - 1
-
-
 def test_rate_chain(exp_experiment):
     n = exp_experiment.F.n
     worst = max(cf.theta for cf in exp_experiment.coeff_fits)
