@@ -136,16 +136,13 @@ def _build_compact(cfg: dict) -> SampledCompact:
     kind = cfg["shape"]["kind"]
     if kind == "segment":
         return sample_segment(shape.a, shape.b, samples)
-    if kind == "disc":
-        grid_n = max(5, int(math.sqrt(samples)))
-        return sample_disc(shape.center, shape.radius, grid_n)
     if kind == "box":
         per_axis = max(3, int(round(samples ** (1.0 / len(shape.intervals)))))
         return sample_box(shape.intervals, per_axis)
-    if kind == "polydisc":
-        grid_n = max(5, int(math.sqrt(samples)))
-        return sample_polydisc(shape.radii, grid_n)
-    raise ConfigError(f"shape kind {kind!r} is not a sampleable standard shape")
+    grid_n = max(5, int(math.sqrt(samples)))
+    if kind == "disc":
+        return sample_disc(shape.center, shape.radius, grid_n)
+    return sample_polydisc(shape.radii, grid_n)
 
 
 def _rate_fit_json(fit) -> dict:
@@ -250,7 +247,7 @@ def _multigraphs_json(target: Multigraph, approximants) -> dict:
     reader.  approximants lists (d, fibers) per degree.
 
     target_multigraph holds the base sample (m; points, row i being
-    [re x_i1 .. re x_im, im x_i1 .. im x_im]; mesh; ambient_diam; shape) and
+    [re x_i1 .. re x_im, im x_i1 .. im x_im]; mesh; shape) and
     the target's n, fibers and flagged base points.  Every fibers entry is N
     lists of n [re, im] pairs.
     """
@@ -260,7 +257,6 @@ def _multigraphs_json(target: Multigraph, approximants) -> dict:
             "m": K.m,
             "points": np.column_stack([K.points.real, K.points.imag]).tolist(),
             "mesh": K.mesh,
-            "ambient_diam": K.ambient_diam,
             "shape": K.shape.to_json(),
             "n": target.n,
             "fibers": _pairs(target.fibers),
@@ -273,11 +269,10 @@ def _multigraphs_json(target: Multigraph, approximants) -> dict:
 def _read_forward(path: str):
     """(limit, w_seq, d_values) from the forward results.json at path.
 
-    Converse needs the base points, mesh, n and fibers; shape and
-    ambient_diam are not read.  An unreadable file, a missing field, an
-    empty approximant list, a flagged target, or points or fibers that are
-    non-finite or shaped unlike the base and n are a ConfigError naming the
-    file.
+    Converse needs the base points, mesh, n and fibers; shape is not read.
+    An unreadable file, a missing field, an empty approximant list, a
+    flagged target, or points or fibers that are non-finite or shaped
+    unlike the base and n are a ConfigError naming the file.
     """
     try:
         data = json.loads(Path(path).read_text())
@@ -314,7 +309,6 @@ def _run_converse(cfg: dict, out: Path) -> dict:
             "theta_envelope_ok": result.theta_envelope_ok,
         },
         "verdict": result.verdict,
-        "n_detected": result.n_detected,
         "delta_fit": _rate_fit_json(result.delta_fit),
         "coefficient_fits": [_rate_fit_json(f) for f in result.coeff_fits],
         "lemma_constants": {"R": result.lemma.R, "C": list(result.lemma.C), "D": list(result.lemma.D)},
@@ -343,7 +337,6 @@ def _run_counterexample(cfg: dict, out: Path) -> dict:
     sup_fit = fit_geometric_rate([(r.k, r.sup_norm) for r in rows])
     dh_fit = fit_geometric_rate([(r.k, r.graph_dh) for r in rows])
     checks = {
-        "sup_norm_k2": abs(rows[0].sup_norm - 0.125) <= 1e-12 if rows[0].k == 2 else False,
         "graph_dh_bound": all(r.graph_dh <= 0.5 ** r.k + 2 * mesh for r in rows),
         "graph_rate_geometric": dh_fit.verdict == "geometric",
         "sup_rate_not_geometric": sup_fit.verdict == "not-geometric",
@@ -361,16 +354,8 @@ def _run_closure(cfg: dict, out: Path) -> dict:
     for nu in nu_list:
         _number("nu_list", nu, above=0.0)
     report = closure_failure_demo(nu_list)
-    _write_csv(out / "fiber_growth.csv", ["box_height", "fiber_cardinality"],
-               [[h, c] for h, c in zip(report.box_heights, report.fiber_counts)])
-    checks = {
-        "kuratowski_cond1": report.kuratowski.cond1,
-        "kuratowski_cond2": report.kuratowski.cond2,
-        "fiber_cardinality_grows": all(
-            a < b for a, b in zip(report.fiber_counts, report.fiber_counts[1:])
-        ),
-    }
-    return {"checks": checks, "per_step_sup": list(report.kuratowski.per_step_sup)}
+    checks = {"kuratowski_cond1": report.cond1, "kuratowski_cond2": report.cond2}
+    return {"checks": checks, "per_step_sup": list(report.per_step_sup)}
 
 
 def _run_extremal(cfg: dict, out: Path) -> dict:
@@ -381,15 +366,26 @@ def _run_extremal(cfg: dict, out: Path) -> dict:
     h = 2.5 * step
     if shape.dim != 1:
         raise ConfigError("extremal command currently samples 1-dimensional shapes")
+    # the scan is the square of half-width diam(K) centred on K: a disc's
+    # centre, a segment's or interval's midpoint, a polydisc's origin
+    kind = cfg["shape"]["kind"]
+    if kind == "disc":
+        mid = shape.center
+    elif kind == "segment":
+        mid = (shape.a + shape.b) / 2.0
+    elif kind == "box":
+        mid = sum(shape.intervals[0]) / 2.0
+    else:
+        mid = 0.0
     half = shape.diameter()
     xs = np.arange(-half, half + step / 2.0, step)
     gx, gy = np.meshgrid(xs, xs)
-    pts = (gx.ravel() + 1j * gy.ravel()).reshape(-1, 1)
+    pts = (mid + gx.ravel() + 1j * gy.ravel()).reshape(-1, 1)
     vals = shape.phi_many(pts)
     osc = continuity_probe(shape, pts, grid_mesh, h)
     _write_csv(out / "phi.csv", ["re", "im", "phi"],
                [[float(p[0].real), float(p[0].imag), float(v)] for p, v in zip(pts, vals)])
-    return {"checks": {"phi_ge_1": bool(vals.min() >= 1.0 - 1e-12)}, "oscillation": osc, "h": h}
+    return {"oscillation": osc, "h": h}
 
 
 # command -> (runner, {field: default}); a None default leaves the value to the

@@ -1,8 +1,9 @@
 """Converse pipeline: given algebraic multigraphs converging geometrically to
-a target multigraph in the fiberwise metric, detect the covering number,
-reconstruct the coefficient functions from the fibers by Vieta's formulas,
-verify that their decay inherits the geometric rate through explicit
-product-perturbation constants, and emit the reconstructed pseudopolynomial.
+a target multigraph in the fiberwise metric, certify the target's covering
+number on the sequence, reconstruct the coefficient functions from the
+fibers by Vieta's formulas, verify that their decay inherits the geometric
+rate through explicit product-perturbation constants, and emit the
+reconstructed pseudopolynomial.
 
 It assumes K is regular (Phi_K continuous), as holds for the standard
 catalogue; the extremal command probes Phi_K's continuity on a grid.
@@ -89,45 +90,23 @@ def product_bound_constants(n: int, R: float, r: float, M: float | None = None) 
     return LemmaConstants(n=n, R=R, r=r, M=M, C=tuple(c), D=tuple(d))
 
 
-def _cluster_points(points: np.ndarray, tol: float) -> np.ndarray:
-    """Greedy clustering of fiber points: values within tol collapse."""
-    reps: list = []
-    for z in sorted(points, key=lambda v: (v.real, v.imag)):
-        for rep in reps:
-            if abs(z - rep) <= tol:
-                break
-        else:
-            reps.append(z)
-    return np.asarray(reps, dtype=complex)
-
-
-def detect_covering_number(w_seq, n_expected: int, x0_index: int,
-                           target_fiber=None) -> int:
+def detect_covering_number(w_seq, n_expected: int, x0_index: int, target_fiber=None) -> None:
     """Verify the sequence has covering number n_expected, using a base point
-    whose target fiber has n_expected distinct values.
+    whose target fiber has n_expected distinct values; raise
+    CoveringNumberError otherwise.
 
-    Fiber points closer than SEPARATION_TOL (1e-3) count as one root.  The
-    target fiber (the last multigraph's fiber at x0_index when omitted) has
-    its points separated by disjoint closed discs of radius one third of
-    their minimal gap (unbounded for a single point); for every multigraph
-    in the tail of the sequence, each disc must capture at least one fiber
-    point at the declared base point, while no multigraph may carry more
-    than n_expected points per fiber.  The tail must cover at least the
-    second half of the sequence.
+    Fiber points at most SEPARATION_TOL (1e-3) apart count as one root, so
+    the target fiber (the last multigraph's fiber at x0_index when omitted)
+    must hold n_expected points whose smallest gap exceeds it.  Those points
+    are separated by disjoint closed discs of radius one third of that gap
+    (unbounded for a single point); for every multigraph in the tail of the
+    sequence, each disc must capture at least one fiber point at the
+    declared base point, while no multigraph may carry more than n_expected
+    points per fiber.  The tail must cover at least the second half of the
+    sequence.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
-    if target_fiber is None:
-        target_fiber = w_seq[-1].fibers[x0_index]
-    target_fiber = np.asarray(target_fiber, dtype=complex).ravel()
-    distinct = _cluster_points(target_fiber, SEPARATION_TOL)
-    if distinct.size < n_expected:
-        raise CoveringNumberError(
-            f"target fiber at sample {x0_index} has only {distinct.size} separated "
-            f"points, need {n_expected}", index=x0_index,
-        )
-    radius = float(min_gaps(distinct[None, :])[0]) / 3.0
-
     for d_idx, w in enumerate(w_seq):
         if w.n > n_expected:
             raise CoveringNumberError(
@@ -135,17 +114,28 @@ def detect_covering_number(w_seq, n_expected: int, x0_index: int,
                 f"at sequence entry {d_idx}", d=d_idx,
             )
 
+    if target_fiber is None:
+        target_fiber = w_seq[-1].fibers[x0_index]
+    target_fiber = np.asarray(target_fiber, dtype=complex).ravel()
+    gap = float(min_gaps(target_fiber[None, :])[0])
+    if target_fiber.size != n_expected or gap <= SEPARATION_TOL:
+        raise CoveringNumberError(
+            f"target fiber at sample {x0_index} does not hold {n_expected} points "
+            f"separated by more than {SEPARATION_TOL:g} (smallest gap {gap:.3e})",
+            index=x0_index,
+        )
+    radius = gap / 3.0
+
     ok = []
     for w in w_seq:
         fib = w.fibers[x0_index]
-        ok.append(bool(all(np.abs(fib - t).min() <= radius for t in distinct)))
+        ok.append(bool(all(np.abs(fib - t).min() <= radius for t in target_fiber)))
     start = tail_start(ok)
     if start is None or start > len(ok) // 2:
         raise CoveringNumberError(
             f"disc-separation test failed at sample {x0_index}: the sequence tail "
             f"does not hold {n_expected} separated fiber points", index=x0_index,
         )
-    return n_expected
 
 
 def reconstruct_coefficients(w: Multigraph, n: int) -> np.ndarray:
@@ -163,7 +153,6 @@ def reconstruct_coefficients(w: Multigraph, n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConverseResult:
-    n_detected: int
     d_values: tuple
     coeff_errors: np.ndarray  # (num_d, n) sup errors against the target coefficients
     coeff_fits: tuple
@@ -214,7 +203,7 @@ def converse_experiment(w_seq, limit: Multigraph, *, d_values=None) -> ConverseR
         )
 
     x0_index = int(np.argmax(min_gaps(limit.fibers)))
-    n_detected = detect_covering_number(w_seq, n, x0_index, target_fiber=limit.fibers[x0_index])
+    detect_covering_number(w_seq, n, x0_index, target_fiber=limit.fibers[x0_index])
 
     target_coeffs = reconstruct_coefficients(limit, n)
     R = max(float(np.abs(w.fibers).max()) for w in (*w_seq, limit)) + 0.1
@@ -260,7 +249,6 @@ def converse_experiment(w_seq, limit: Multigraph, *, d_values=None) -> ConverseR
     else:
         verdict = "holomorphic-witness"
     return ConverseResult(
-        n_detected=n_detected,
         d_values=d_values,
         coeff_errors=coeff_errors,
         coeff_fits=coeff_fits,

@@ -6,9 +6,11 @@
   steps like 1/k^2, so "looking in all directions" beats the purely vertical
   Chebyshev view by an unbounded factor.
 * A sequence of steepening parabola graphs whose Kuratowski limit is a pair
-  of vertical lines: each member is an algebraic multigraph but the limit
-  has unbounded fibers, so the family of bounded-degree graphs over a disc
-  is not closed.
+  of vertical lines {+-1/2} x C: each member is an algebraic multigraph but
+  the limit's fibers over x = +-1/2 are unbounded, so the family of
+  bounded-degree graphs over a disc is not closed.  The demo samples the
+  lines clipped to a fixed height and checks the convergence; the
+  unboundedness is a fact of the limit, not something a sample can show.
 * A probe for the smallest constant relating the fiberwise metric to the
   graph Hausdorff distance of two multigraphs; on the staircase pair it
   equals sqrt(1 + (2^k/k^2)^2) ~ 2^k/k^2, which is the obstruction to
@@ -33,7 +35,6 @@ from .sets_metrics import (
 __all__ = [
     "StaircaseFunctions",
     "CounterexampleRow",
-    "ClosureFailureReport",
     "build_counterexample",
     "counterexample_rates",
     "closure_failure_demo",
@@ -108,7 +109,7 @@ class CounterexampleRow:
 
 
 def _function_multigraph(xs: np.ndarray, values: np.ndarray, mesh: float) -> Multigraph:
-    base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=mesh, ambient_diam=2.0)
+    base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=mesh)
     return Multigraph(base, values.reshape(-1, 1), n=1)
 
 
@@ -172,14 +173,6 @@ def fiberwise_constant_probe(fm: Multigraph, gm: Multigraph) -> ProbeResult:
 # closure failure of bounded-degree multigraphs
 
 
-@dataclass(frozen=True)
-class ClosureFailureReport:
-    kuratowski: KuratowskiReport
-    nu_list: tuple
-    fiber_counts: tuple  # limit fiber cardinality per tested box height
-    box_heights: tuple
-
-
 def _parabola_points(nu: float, dx: float) -> np.ndarray:
     xs = np.arange(-1.0, 1.0 + dx / 2.0, dx)
     ts = nu * (xs * xs - 0.25)
@@ -194,18 +187,18 @@ def _clipped_lines(dt: float) -> np.ndarray:
     return np.vstack(rows).astype(complex)
 
 
-def closure_failure_demo(nu_list) -> ClosureFailureReport:
+def closure_failure_demo(nu_list) -> KuratowskiReport:
     """Steepening parabola graphs t = nu (x^2 - 1/4) over [-1, 1] against
     their vertical-line limit {+-1/2} x C, clipped to |t| <= CLOSURE_BOX_HEIGHT.
 
     The sampled graphs converge in the two-condition sense to the clipped
-    limit, yet the limit's fiber cardinality grows linearly with the box
-    height: no bounded-fiber multigraph can represent it.
+    limit, yet the limit's fibers {+-1/2} x C are unbounded: no
+    bounded-fiber multigraph can represent it.
     """
     nu_list = tuple(float(nu) for nu in nu_list)
     dt = CLOSURE_TOL / 5.0
     limit_pts = _clipped_lines(dt)
-    limit = SampledCompact(limit_pts, mesh=dt / 2.0, ambient_diam=2.0 * CLOSURE_BOX_HEIGHT + 2.0)
+    limit = SampledCompact(limit_pts, mesh=dt / 2.0)
 
     seq = []
     for nu in nu_list:
@@ -214,17 +207,11 @@ def closure_failure_demo(nu_list) -> ClosureFailureReport:
         # covering radius along the curve: spacing stretched by the max slope
         slope = 2.0 * nu
         mesh = 0.5 * dx * math.sqrt(1.0 + slope * slope)
-        seq.append(SampledCompact(pts, mesh=mesh,
-                                  ambient_diam=2.0 * CLOSURE_BOX_HEIGHT + 2.0))
+        seq.append(SampledCompact(pts, mesh=mesh))
 
     # witness compact disjoint from the limit lines: a short vertical stick
     # at x = 0 (the parabolas dive far below it as nu grows)
     ts = np.arange(-0.5, 0.5 + dt / 2.0, dt)
     witness = np.column_stack([np.zeros_like(ts), ts]).astype(complex)
 
-    report = kuratowski_check(seq, limit, CLOSURE_TOL, witnesses=[witness])
-
-    heights = (CLOSURE_BOX_HEIGHT / 2.0, CLOSURE_BOX_HEIGHT, 2.0 * CLOSURE_BOX_HEIGHT)
-    counts = tuple(int(np.ceil(2.0 * h / dt)) + 1 for h in heights)
-    return ClosureFailureReport(kuratowski=report, nu_list=nu_list, fiber_counts=counts,
-                                box_heights=heights)
+    return kuratowski_check(seq, limit, CLOSURE_TOL, witnesses=[witness])

@@ -1,10 +1,11 @@
 """Standard polynomially convex model sets and their closed-form Siciak
 extremal functions.
 
-Only the standard catalogue is supported (disc, segment, box, polydisc and
-products of these): these are the sets whose extremal function has an
-elementary closed form, and they are the only sets the experiment pipelines
-accept as "polynomially convex by declaration".
+Only the standard catalogue is supported (disc, segment, box and polydisc):
+these are the sets whose extremal function has an elementary closed form,
+and they are the only sets the experiment pipelines accept as "polynomially
+convex by declaration".  Box and polydisc are products of intervals and of
+discs, and their extremal function is the max over factors.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "Segment",
     "Box",
     "Polydisc",
-    "ProductShape",
     "siciak_phi",
     "continuity_probe",
     "shape_from_json",
@@ -148,39 +148,13 @@ class Polydisc(StandardShape):
         vals = np.ones(z.shape[0])
         for i, r in enumerate(self.radii):
             vals = np.maximum(vals, np.abs(z[:, i]) / r)
-        return np.maximum(1.0, vals)
+        return vals
 
     def diameter(self):
         return float(2.0 * np.sqrt(sum(r * r for r in self.radii)))
 
     def to_json(self):
         return {"kind": "polydisc", "radii": list(self.radii)}
-
-
-@dataclass(frozen=True)
-class ProductShape(StandardShape):
-    """Product of lower-dimensional standard shapes, coordinates concatenated."""
-
-    factors: tuple
-
-    @property
-    def dim(self):
-        return sum(f.dim for f in self.factors)
-
-    def phi_many(self, pts):
-        z = np.atleast_2d(np.asarray(pts, dtype=complex))
-        vals = np.ones(z.shape[0])
-        ofs = 0
-        for f in self.factors:
-            vals = np.maximum(vals, f.phi_many(z[:, ofs : ofs + f.dim]))
-            ofs += f.dim
-        return vals
-
-    def diameter(self):
-        return float(np.sqrt(sum(f.diameter() ** 2 for f in self.factors)))
-
-    def to_json(self):
-        return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
 
 def shape_from_json(data: dict) -> StandardShape:
@@ -199,8 +173,6 @@ def shape_from_json(data: dict) -> StandardShape:
         return Box(tuple(tuple(iv) for iv in data["intervals"]))
     if kind == "polydisc":
         return Polydisc(tuple(data["radii"]))
-    if kind == "product":
-        return ProductShape(tuple(shape_from_json(f) for f in data["factors"]))
     raise ValueError(f"unknown shape kind {kind!r}")
 
 

@@ -45,7 +45,6 @@ class RootSet:
 
     roots: np.ndarray
     residual: float
-    iterations: int
     tol_used: float
 
 
@@ -130,10 +129,10 @@ def solve_monic(coeffs) -> RootSet:
     or 1e-6 times that scale where the roots cluster (see solve_monic_batch).
     """
     arr = np.asarray(coeffs, dtype=complex).reshape(1, -1)
-    roots, res, iters, tol_used, ok = solve_monic_batch(arr)
+    roots, res, _, tol_used, ok = solve_monic_batch(arr)
     if not ok[0]:
         raise NonConvergenceError(roots[0], float(res[0]), tol_used[0])
-    return RootSet(roots[0], float(res[0]), int(iters[0]), float(tol_used[0]))
+    return RootSet(roots[0], float(res[0]), float(tol_used[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ __all__ = [
     "fit_geometric_rate",
     "sample_segment",
     "sample_disc",
-    "sample_circle",
     "sample_box",
     "sample_polydisc",
 ]
@@ -56,13 +55,11 @@ class SampledCompact:
     """Finite sample of a compact subset of C^m.
 
     mesh is the covering radius of the sample (max distance from any point of
-    the declared set to its nearest sample); ambient_diam is the diameter of
-    the ambient set, needed only for the empty-vs-nonempty Hausdorff case.
+    the declared set to its nearest sample).
     """
 
     points: np.ndarray
     mesh: float
-    ambient_diam: float | None = None
     shape: StandardShape | None = None
 
     def __post_init__(self):
@@ -144,10 +141,6 @@ def hausdorff(e, f, ambient_diam: float | None = None) -> float:
     if ep.shape[0] == 0 and fp.shape[0] == 0:
         return 0.0
     if ep.shape[0] == 0 or fp.shape[0] == 0:
-        if ambient_diam is None:
-            for side in (e, f):
-                if isinstance(side, SampledCompact) and side.ambient_diam is not None:
-                    ambient_diam = max(ambient_diam or 0.0, side.ambient_diam)
         if ambient_diam is None:
             raise ValueError("ambient_diam required when exactly one set is empty")
         return float(ambient_diam) + 1.0
@@ -390,8 +383,7 @@ def sample_segment(a: complex, b: complex, count: int) -> SampledCompact:
     ts = np.linspace(0.0, 1.0, count)
     pts = (a + (b - a) * ts).reshape(-1, 1).astype(complex)
     mesh = abs(b - a) / (2.0 * (count - 1))
-    shape = Segment(a, b)
-    return SampledCompact(pts, mesh=mesh, ambient_diam=shape.diameter(), shape=shape)
+    return SampledCompact(pts, mesh=mesh, shape=Segment(a, b))
 
 
 def sample_disc(center: complex, radius: float, grid_n: int = 41) -> SampledCompact:
@@ -410,18 +402,9 @@ def sample_disc(center: complex, radius: float, grid_n: int = 41) -> SampledComp
     px, py = np.meshgrid(pxs, pxs)
     pz = px.ravel() + 1j * py.ravel()
     pz = pz[np.abs(pz) <= radius] + center
-    shape = Disc(center, radius)
     # covering radius: farthest probe point of the disc from the samples
     mesh = _directed(_to_real(pz.reshape(-1, 1)), _to_real(pts.reshape(-1, 1)))
-    return SampledCompact(pts.reshape(-1, 1), mesh=mesh, ambient_diam=shape.diameter(), shape=shape)
-
-
-def sample_circle(center: complex, radius: float, count: int = 128) -> SampledCompact:
-    """Uniform sample of a circle (no shape tag: a circle is not polynomially
-    convex, so the approximation pipelines will not accept it)."""
-    pts = (center + radius * np.exp(2j * np.pi * np.arange(count) / count)).reshape(-1, 1)
-    mesh = radius * math.pi / count
-    return SampledCompact(pts, mesh=mesh, ambient_diam=2 * radius, shape=None)
+    return SampledCompact(pts.reshape(-1, 1), mesh=mesh, shape=Disc(center, radius))
 
 
 def sample_box(intervals, per_axis: int = 21) -> SampledCompact:
@@ -430,8 +413,7 @@ def sample_box(intervals, per_axis: int = 21) -> SampledCompact:
     grids = np.meshgrid(*axes, indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids]).astype(complex)
     mesh = 0.5 * math.sqrt(sum(((hi - lo) / (per_axis - 1)) ** 2 for lo, hi in intervals))
-    shape = Box(tuple(tuple(iv) for iv in intervals))
-    return SampledCompact(pts, mesh=mesh, ambient_diam=shape.diameter(), shape=shape)
+    return SampledCompact(pts, mesh=mesh, shape=Box(tuple(tuple(iv) for iv in intervals)))
 
 
 def sample_polydisc(radii, grid_n: int = 15) -> SampledCompact:
@@ -439,6 +421,5 @@ def sample_polydisc(radii, grid_n: int = 15) -> SampledCompact:
     factor_samples = [sample_disc(0.0, r, grid_n) for r in radii]
     grids = np.meshgrid(*[sc.points[:, 0] for sc in factor_samples], indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
-    shape = Polydisc(tuple(radii))
     mesh = math.sqrt(sum(sc.mesh ** 2 for sc in factor_samples))
-    return SampledCompact(pts, mesh=mesh, ambient_diam=shape.diameter(), shape=shape)
+    return SampledCompact(pts, mesh=mesh, shape=Polydisc(tuple(radii)))

@@ -1,12 +1,15 @@
 import dataclasses
+import itertools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hyperapprox import converse, demos, forward
 from hyperapprox.cli import (COMMANDS, ConfigError, ExperimentConfig, _multigraphs_json, _read_forward,
                              main, run)
+from hyperapprox.sets_metrics import DeltaResult, Multigraph, sample_segment
 
 FORWARD_CFG = {
     "command": "forward",
@@ -264,9 +267,9 @@ def test_closure_run(tmp_path):
     cfg = {"command": "closure-demo", "nu_list": [10.0, 100.0, 1000.0]}
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
-    growth = (out / "fiber_growth.csv").read_text().strip().splitlines()
-    counts = [int(line.split(",")[1]) for line in growth[1:]]
-    assert counts[0] < counts[1] < counts[2]
+    results = json.loads((out / "results.json").read_text())
+    assert results["checks"] == {"kuratowski_cond1": True, "kuratowski_cond2": True}
+    assert [p.name for p in out.iterdir()] == ["results.json"]
 
 
 def test_extremal_run(tmp_path):
@@ -274,8 +277,21 @@ def test_extremal_run(tmp_path):
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
-    assert results["checks"]["phi_ge_1"]
+    assert "checks" not in results
     assert results["h"] == 2.5 * 0.1
+
+
+@pytest.mark.parametrize("shape", [
+    {"kind": "disc", "center": [5.0, -3.0], "radius": 1.0},
+    {"kind": "segment", "a": [2.0, 0.0], "b": [4.0, 0.0]},
+], ids=["off-centre-disc", "segment-2-4"])
+def test_extremal_scan_covers_K(tmp_path, shape):
+    # the scan is centred on K, so it holds points of K, where Phi_K = 1
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, {"command": "extremal", "shape": shape}),
+                 "--out", str(out)]) == 0
+    rows = np.loadtxt(out / "phi.csv", delimiter=",", skiprows=1)
+    assert rows[:, 2].min() <= 1.0 + 1e-12
 
 
 def test_converse_run_from_forward(tmp_path):
@@ -295,7 +311,6 @@ def test_converse_run_from_forward(tmp_path):
 def test_converse_failed_check_exits_3_unflagged(tmp_path):
     # a_2 reaches its floor after three entries: the verdict is inconclusive,
     # which fails a named check without a numerical failure
-    from hyperapprox.sets_metrics import sample_segment
     from tests.test_converse import _perturbed_sequence
 
     K = sample_segment(-1.0, 1.0, 21)
@@ -320,10 +335,10 @@ def test_forward_artifact_round_trip_is_exact(tmp_path):
     # the one writer and the one reader, through a from_forward file: signed
     # zeros in base points and fibers come back bit for bit, and so does m = 2
     from hyperapprox.extremal import Box
-    from hyperapprox.sets_metrics import Multigraph, SampledCompact
+    from hyperapprox.sets_metrics import SampledCompact
 
     points = np.array([[complex(-0.0, -0.0), complex(1.0, -0.0)], [0.5, complex(-0.0, 2.0)]])
-    base = SampledCompact(points, mesh=0.25, ambient_diam=3.0, shape=Box(((-1.0, 1.0), (0.0, 2.0))))
+    base = SampledCompact(points, mesh=0.25, shape=Box(((-1.0, 1.0), (0.0, 2.0))))
     fibers = np.array([[complex(1.0, -0.0), -1.0], [complex(0.5, -0.0), complex(2.0, 1e-300)]])
     assert np.signbit(fibers.imag).tolist() == [[True, False], [True, False]]
     target = Multigraph(base, fibers, 2)
@@ -352,7 +367,7 @@ def test_forward_artifact_layout(tmp_path, cfg):
                             "approximant_multigraphs"}
     assert set(results["fits"]) == {"delta", "graph_dh", "coefficients"}
     target = results["target_multigraph"]
-    assert set(target) == {"m", "points", "mesh", "ambient_diam", "shape", "n", "fibers", "flagged"}
+    assert set(target) == {"m", "points", "mesh", "shape", "n", "fibers", "flagged"}
     m, n = target["m"], target["n"]
     assert (m, n) == (len(cfg["shape"].get("intervals", [0])), 2)
     count = len(target["points"])
@@ -374,8 +389,6 @@ def test_forward_artifact_layout(tmp_path, cfg):
 def test_forward_flagged_point_exits_3(tmp_path, monkeypatch, capsys):
     # a root-solver flag fails a named check; the artifact is still written,
     # and converse refuses its flagged target
-    from hyperapprox import forward
-
     solve = forward.solve_monic_batch
 
     def flag_row_3(coeffs):
@@ -401,8 +414,6 @@ def test_forward_flagged_point_exits_3(tmp_path, monkeypatch, capsys):
 
 def test_forward_rank_loss_exits_3(tmp_path, monkeypatch):
     # a rank-deficient fit fails a named check; the artifact is still written
-    from hyperapprox import forward
-
     fit = forward.least_squares
 
     def lose_one_rank(samples, points, d):
@@ -416,6 +427,102 @@ def test_forward_rank_loss_exits_3(tmp_path, monkeypatch):
     assert [k for k, ok in results["checks"].items() if not ok] == ["full_rank"]
     assert all(r["rank"] == r["basis_dim"] - 1 == r["d"] for r in results["records"])
     assert (out / "rates.csv").is_file()
+
+
+# ---------------------------------------------------------------------------
+# every named check can fail: each row makes exactly the named checks false,
+# through an input or through a patched layer that the checks guard
+
+
+def _patch_calls(module, name, change):
+    """A row set-up that routes each result of module.name through
+    change(i, result), i counting the calls from 0."""
+    def setup(tmp_path, monkeypatch):
+        real, calls = getattr(module, name), itertools.count()
+        monkeypatch.setattr(module, name, lambda *a, **k: change(next(calls), real(*a, **k)))
+    return setup
+
+
+def _envelope_breach_file(tmp_path):
+    """A forward artifact whose fibers r1 + e_d, r2 - e_d + f_d close in at
+    rate 1/2 while a_1's error f_d decays at rate 0.9: the Vieta bounds hold,
+    every fit is geometric, and a_1's theta leaves delta's envelope."""
+    K = sample_segment(-1.0, 1.0, 21)
+    r = 1.0 + 0.25 * K.points[:, 0].real
+    limit = Multigraph(K, np.column_stack([-r, r]), 2)
+    seq = []
+    for d in range(1, 13):
+        e, f = 0.1 * 0.5 ** d, 0.1 * 0.5 ** 12 * 0.9 ** d
+        seq.append((d, np.column_stack([-r - e + f, r + e])))
+    path = tmp_path / "envelope.json"
+    path.write_text(json.dumps(_multigraphs_json(limit, seq)))
+    return str(path)
+
+
+_POLE_CFG = dict(FORWARD_CFG, samples=401, fiber_degree=1, d_range=[2, 14], coefficients=[
+    {"op": "inv", "args": [{"op": "add", "args": [{"op": "coord", "args": [0]},
+                                                  {"op": "const", "args": [-1.0001, 0.0]}]}]}])
+_STAIRCASE_CFG = {"command": "counterexample", "k_max": 8}
+_CLOSURE_CFG = {"command": "closure-demo", "nu_list": [10.0, 100.0, 1000.0]}
+_STICK = np.column_stack([np.zeros(101), np.linspace(-0.5, 0.5, 101)]).astype(complex)
+
+
+@pytest.mark.parametrize("cfg, setup, failing", [
+    pytest.param(FORWARD_CFG, _patch_calls(forward, "fiberwise_hausdorff",
+                                           lambda i, r: DeltaResult(r.delta, 1.5 * r.delta)),
+                 ["graph_dh_le_delta"], id="graph_dh_le_delta"),
+    # the coefficient has a pole 1e-4 beyond K: far too slow to read as geometric
+    pytest.param(_POLE_CFG, None, ["delta_rate_geometric"], id="delta_rate_geometric"),
+    # delta decays at 0.6, slower than the coefficients' theta ~ 0.08 allows
+    pytest.param(FORWARD_CFG, _patch_calls(forward, "fiberwise_hausdorff",
+                                           lambda i, r: DeltaResult(0.6 ** i, r.graph_dh)),
+                 ["rate_chain"], id="rate_chain"),
+    # graph_dh stays below delta but decays four times slower per degree
+    pytest.param(FORWARD_CFG, _patch_calls(forward, "fiberwise_hausdorff",
+                                           lambda i, r: DeltaResult(r.delta, r.delta * 4.0 ** (i - 7))),
+                 ["graph_rate_le_delta_rate"], id="graph_rate_le_delta_rate"),
+    # matched distances 1000 times too small: the Vieta errors exceed D_k r
+    pytest.param({"command": "converse"}, _patch_calls(converse, "match_bottlenecks",
+                                                       lambda i, r: 1e-3 * r),
+                 ["lemma_bounds_hold"], id="lemma_bounds_hold"),
+    pytest.param({"command": "converse", "from_forward": _envelope_breach_file}, None,
+                 ["theta_envelope_ok"], id="theta_envelope_ok"),
+    pytest.param(_STAIRCASE_CFG, _patch_calls(demos, "fiberwise_hausdorff",
+                                              lambda i, r: DeltaResult(r.delta, 10.0 * r.graph_dh)),
+                 ["graph_dh_bound"], id="graph_dh_bound"),
+    pytest.param(_STAIRCASE_CFG, _patch_calls(demos, "fiberwise_hausdorff",
+                                              lambda i, r: DeltaResult(r.delta, 1e-4)),
+                 ["graph_rate_geometric"], id="graph_rate_geometric"),
+    # on k = 2..5 the fit reads the algebraic 1/(2k^2) as geometric
+    pytest.param(dict(_STAIRCASE_CFG, k_max=5), None, ["sup_rate_not_geometric"],
+                 id="sup_rate_not_geometric"),
+    # two rows per fit: too few to decide either verdict
+    pytest.param(dict(_STAIRCASE_CFG, k_max=3), None,
+                 ["graph_rate_geometric", "sup_rate_not_geometric"], id="k_max-3"),
+    # a parabola this flat stays far from the limit lines
+    pytest.param(dict(_CLOSURE_CFG, nu_list=[10.0]), None, ["kuratowski_cond1"],
+                 id="kuratowski_cond1"),
+    # every member also holds the witness stick at x = 0
+    pytest.param(_CLOSURE_CFG, _patch_calls(demos, "_parabola_points",
+                                            lambda i, pts: np.vstack([pts, _STICK])),
+                 ["kuratowski_cond2"], id="kuratowski_cond2"),
+    # the parabola t = x^2 - 1/4 crosses the witness and misses the lines
+    pytest.param(dict(_CLOSURE_CFG, nu_list=[1.0]), None,
+                 ["kuratowski_cond1", "kuratowski_cond2"], id="nu-1"),
+])
+def test_named_check_fails(tmp_path, monkeypatch, forward_results, cfg, setup, failing):
+    # no_flagged_points, full_rank and verdict_holomorphic_witness have their
+    # rows above; this table covers every other named check
+    if cfg["command"] == "converse":
+        source = cfg.get("from_forward", lambda _: forward_results)
+        cfg = dict(cfg, from_forward=source(tmp_path))
+    if setup is not None:
+        setup(tmp_path, monkeypatch)
+    out = tmp_path / "out"
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 3
+    results = json.loads((out / "results.json").read_text())
+    assert "flagged" not in results
+    assert sorted(k for k, ok in results["checks"].items() if not ok) == failing
 
 
 def test_missing_config_file_exits_2(tmp_path, capsys):

@@ -123,7 +123,7 @@ def test_graph_distance_closed_form_matches_oracle():
 
 def test_probe_uniform_shift_gives_constant_one():
     xs = np.linspace(0.0, 1.0, 2001)
-    base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=0.00025, ambient_diam=2.0)
+    base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=0.00025)
     flat = Multigraph(base, tuple(np.array([0.25], dtype=complex) for _ in xs), 1)
     shifted = Multigraph(base, flat.fibers + 0.125, 1)
     probe = fiberwise_constant_probe(flat, shifted)
@@ -141,15 +141,13 @@ def test_closure_demo_points_on_curve():
 
 def test_closure_demo_report():
     rep = closure_failure_demo([10, 100, 1000])
-    assert rep.kuratowski.cond1
-    assert rep.kuratowski.cond2
-    counts = rep.fiber_counts
-    assert counts[0] < counts[1] < counts[2]
+    assert rep.cond1
+    assert rep.cond2
 
 
 def test_closure_demo_first_member_not_yet_close():
     rep = closure_failure_demo([10, 100, 1000])
-    sups = rep.kuratowski.per_step_sup
+    sups = rep.per_step_sup
     assert sups[0] > CLOSURE_TOL and sups[-1] <= CLOSURE_TOL
 
 

@@ -7,7 +7,6 @@ from hyperapprox.extremal import (
     Box,
     Disc,
     Polydisc,
-    ProductShape,
     Segment,
     continuity_probe,
     shape_from_json,
@@ -54,12 +53,15 @@ def test_chebyshev_growth_dominated_by_phi():
 
 
 def test_product_rule_exact():
-    prod = ProductShape((Disc(0.0, 1.0), Segment(-1.0, 1.0)))
+    # a box is a product of segments, a polydisc a product of discs
     rng = np.random.default_rng(47)
     pts = rng.normal(size=(30, 2)) + 1j * rng.normal(size=(30, 2))
-    lhs = prod.phi_many(pts)
-    rhs = np.maximum(Disc(0.0, 1.0).phi_many(pts[:, :1]), Segment(-1.0, 1.0).phi_many(pts[:, 1:]))
-    assert np.array_equal(lhs, rhs)
+    box = Box(((-1.0, 1.0), (0.0, 2.0)))
+    rhs = np.maximum(Segment(-1.0, 1.0).phi_many(pts[:, :1]), Segment(0.0, 2.0).phi_many(pts[:, 1:]))
+    assert np.array_equal(box.phi_many(pts), rhs)
+    poly = Polydisc((1.0, 2.0))
+    rhs = np.maximum(Disc(0.0, 1.0).phi_many(pts[:, :1]), Disc(0.0, 2.0).phi_many(pts[:, 1:]))
+    assert np.array_equal(poly.phi_many(pts), rhs)
 
 
 def _grid(half, step):
@@ -86,8 +88,8 @@ def test_continuity_probe_product_bounded_by_factors():
     xs = np.arange(-1.2, 1.2001, 0.05)
     g1, g2 = np.meshgrid(xs, xs)
     pts2 = np.column_stack([g1.ravel(), g2.ravel()]).astype(complex)
-    prod = ProductShape((Segment(-1.0, 1.0), Segment(-1.0, 1.0)))
-    osc2 = continuity_probe(prod, pts2, grid_mesh=0.05, h=0.12)
+    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
+    osc2 = continuity_probe(box, pts2, grid_mesh=0.05, h=0.12)
     osc1 = continuity_probe(Segment(-1.0, 1.0), xs.reshape(-1, 1).astype(complex),
                             grid_mesh=0.05, h=0.12)
     assert osc2 <= osc1 + 1e-12
@@ -106,7 +108,7 @@ def test_unsupported_shape_rejected():
 
 def test_shape_json_round_trip():
     shapes = [Disc(0.5 - 0.25j, 2.0), Segment(-1.0, 1.0), Box(((-1.0, 1.0), (0.0, 2.0))),
-              Polydisc((1.0, 2.0)), ProductShape((Disc(0.0, 1.0), Segment(0.0, 1.0)))]
+              Polydisc((1.0, 2.0))]
     for shape in shapes:
         assert shape_from_json(shape.to_json()) == shape
 

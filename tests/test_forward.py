@@ -6,7 +6,7 @@ from hyperapprox import forward
 from hyperapprox.chebyshev import basis_dimension, least_squares
 from hyperapprox.forward import forward_rate_experiment, sample_multigraph
 from hyperapprox.roots import hoelder_check, match_roots
-from hyperapprox.sets_metrics import sample_circle, sample_segment
+from hyperapprox.sets_metrics import SampledCompact, sample_segment
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +84,14 @@ def test_singleton_fibers_reduce_to_sup_norm(K401):
         assert r.delta == pytest.approx(r.coeff_errors[0], rel=1e-7, abs=1e-13)
 
 
+def _unit_circle(count: int) -> SampledCompact:
+    """A circle sample with no shape tag: a circle is not polynomially convex."""
+    return SampledCompact(np.exp(2j * np.pi * np.arange(count) / count).reshape(-1, 1),
+                          mesh=np.pi / count)
+
+
 def test_requires_standard_shape():
-    circle = sample_circle(0.0, 1.0, 64)
+    circle = _unit_circle(64)
     F = Pseudopolynomial(1, (Const(0.0),))
     with pytest.raises(ValueError, match="shape"):
         forward_rate_experiment(F, circle, range(0, 6))
@@ -105,7 +111,7 @@ def test_sample_multigraph_constant_fibers(K401):
 
 
 def test_sample_multigraph_square_root_fibers():
-    circle = sample_circle(0.0, 1.0, 64)
+    circle = _unit_circle(64)
     F = Pseudopolynomial(2, (Const(0.0), Neg(Coord(0))))  # t^2 - x
     mg = sample_multigraph(circle, F.coefficients_at(circle.points))
     for x, fib in zip(circle.points[:, 0], mg.fibers):

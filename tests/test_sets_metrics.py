@@ -17,9 +17,8 @@ from hyperapprox.sets_metrics import (
 )
 
 
-def _compact(points, mesh=1e-3, diam=None):
-    return SampledCompact(np.asarray(points, dtype=complex).reshape(-1, 1),
-                          mesh=mesh, ambient_diam=diam)
+def _compact(points, mesh=1e-3):
+    return SampledCompact(np.asarray(points, dtype=complex).reshape(-1, 1), mesh=mesh)
 
 
 # ---------------------------------------------------------------- hausdorff
@@ -35,7 +34,7 @@ def test_hausdorff_two_singletons():
 
 
 def test_hausdorff_empty_cases():
-    empty = SampledCompact(np.zeros((0, 1), dtype=complex), mesh=0.0, ambient_diam=2.0)
+    empty = SampledCompact(np.zeros((0, 1), dtype=complex), mesh=0.0)
     assert hausdorff(empty, empty) == 0.0
     assert hausdorff(empty, _compact([1.0]), ambient_diam=2.0) == pytest.approx(3.0)
 
@@ -63,7 +62,7 @@ def test_hausdorff_metric_properties():
 
 
 def _mg(base_pts, fibers, n, mesh=1e-3):
-    base = _compact(base_pts, mesh=mesh, diam=4.0)
+    base = _compact(base_pts, mesh=mesh)
     return Multigraph(base, tuple(np.asarray(f, dtype=complex) for f in fibers), n)
 
 
@@ -206,13 +205,13 @@ def _parabola_graph(nu, count=20001, clip=6.0):
     pts = np.column_stack([xs[keep], ts[keep]]).astype(complex)
     dx = 2.0 / (count - 1)
     mesh = 0.5 * dx * np.sqrt(1 + 4 * nu * nu)
-    return SampledCompact(pts, mesh=mesh, ambient_diam=2 * clip + 2)
+    return SampledCompact(pts, mesh=mesh)
 
 
 def test_kuratowski_parabola_to_vertical_lines():
     t_vals = np.arange(-5.0, 5.0 + 0.005, 0.01)
     rows = [np.column_stack([np.full_like(t_vals, x0), t_vals]) for x0 in (-0.5, 0.5)]
-    limit = SampledCompact(np.vstack(rows).astype(complex), mesh=0.005, ambient_diam=12.0)
+    limit = SampledCompact(np.vstack(rows).astype(complex), mesh=0.005)
     seq = [_parabola_graph(nu, count=80001) for nu in (50, 200, 800)]
     rep = kuratowski_check(seq, limit, tol=0.05)
     assert rep.cond1
@@ -222,7 +221,7 @@ def test_kuratowski_mesh_stability():
     # refining the sampling of the same sets does not change the verdict
     t_vals = np.arange(-3.0, 3.0 + 0.005, 0.01)
     rows = [np.column_stack([np.full_like(t_vals, x0), t_vals]) for x0 in (-0.5, 0.5)]
-    limit = SampledCompact(np.vstack(rows).astype(complex), mesh=0.005, ambient_diam=8.0)
+    limit = SampledCompact(np.vstack(rows).astype(complex), mesh=0.005)
     for count in (40001, 80001):
         seq = [_parabola_graph(nu, count=count, clip=4.0) for nu in (50, 200, 800)]
         rep = kuratowski_check(seq, limit, tol=0.05)
