@@ -81,7 +81,8 @@ class Multigraph:
     """Map from each base sample point to its fiber of n points in C.
 
     fibers is a read-only (base.count, n) complex array: row i lists the n
-    roots, with multiplicity, of the monic fiber polynomial at base point i.
+    roots, with multiplicity, of the monic fiber polynomial at base point i;
+    base points and fibers must be finite.
     The graph (union of {x} x fiber(x)) is a sampled subset of K x C.
     flagged holds the indices of base points whose roots the solver did not
     certify.
@@ -104,6 +105,11 @@ class Multigraph:
                 f"fibers have shape {fibs.shape}, need one row of n = {self.n} points "
                 f"per base sample point ({self.base.count}, {self.n})"
             )
+        finite = np.isfinite(fibs).all(axis=1) & np.isfinite(self.base.points).all(axis=1)
+        if not finite.all():
+            raise ValueError(
+                f"base points and fibers must be finite: row {int(np.argmin(finite))} is not"
+            )
         fibs.setflags(write=False)
         object.__setattr__(self, "fibers", fibs)
 
@@ -118,10 +124,36 @@ class Multigraph:
 def _directed(a_re: np.ndarray, b_re: np.ndarray) -> float:
     """sup over a of the distance to b (both nonempty real arrays).
 
-    Exact nearest-neighbour queries against a k-d tree on b; deterministic.
+    Exact nearest-neighbour queries of every point of a against a k-d tree on
+    b; deterministic.  Serves hausdorff and sample_disc's covering radius.
     """
     d, _ = cKDTree(b_re).query(a_re, k=1)
     return float(np.max(d))
+
+
+# first query block of _directed_bounded; each later block doubles
+_QUERY_BLOCK = 64
+
+
+def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> float:
+    """sup over a of the distance to b, given bound[i] >= dist(a_i, b) that is
+    exact where it is 0.  Serves fiberwise_hausdorff.
+
+    Rows with bound 0 are never queried.  The others are queried against one
+    k-d tree on b in decreasing-bound blocks until the next bound, widened by
+    1e-12 relative, is at most the running max; no tree is built when no row
+    needs a query.
+    """
+    order = np.flatnonzero(bound > 0)
+    order = order[np.argsort(-bound[order], kind="stable")]
+    best, start, size, tree = 0.0, 0, _QUERY_BLOCK, None
+    while start < order.size and bound[order[start]] * (1.0 + 1e-12) > best:
+        if tree is None:
+            tree = cKDTree(b_re)
+        d, _ = tree.query(a_re[order[start:start + size]], k=1)
+        best = max(best, float(np.max(d)))
+        start, size = start + size, 2 * size
+    return best
 
 
 def _points_of(obj) -> np.ndarray:
@@ -135,7 +167,9 @@ def hausdorff(e, f, ambient_diam: float | None = None) -> float:
 
     Max of the two directed sup-inf distances in the Euclidean norm; 0 when
     both sets are empty; ambient diameter + 1 when exactly one is empty
-    (ambient_diam required in that case).
+    (ambient_diam required in that case).  This is the plain set distance,
+    which queries every point; fiberwise_hausdorff computes the graph
+    distance of two multigraphs over one base by a pruned kernel instead.
     """
     ep, fp = _points_of(e), _points_of(f)
     if ep.shape[0] == 0 and fp.shape[0] == 0:
@@ -148,17 +182,22 @@ def hausdorff(e, f, ambient_diam: float | None = None) -> float:
     return max(_directed(a, b), _directed(b, a))
 
 
-def fiber_profile(y: Multigraph, w: Multigraph) -> np.ndarray:
-    """Per-base-point Hausdorff distance between the two fibers, shape (N,).
-
-    One (N, n_y, n_w) reduction over all pairwise fiber-point distances.
-    """
+def _fiber_bounds(y: Multigraph, w: Multigraph):
+    """min_k |y_ij - w_ik| (N, n_y) and min_j |y_ij - w_ik| (N, n_w): each
+    fiber point's distance to the other fiber over the same base point, from
+    one (N, n_y, n_w) array of pairwise distances."""
     if y.base.points.shape != w.base.points.shape or not np.array_equal(
         y.base.points, w.base.points
     ):
         raise ValueError("multigraphs must share the same base sample points")
     d = np.abs(y.fibers[:, :, None] - w.fibers[:, None, :])
-    return np.maximum(d.min(axis=2).max(axis=1), d.min(axis=1).max(axis=1))
+    return d.min(axis=2), d.min(axis=1)
+
+
+def fiber_profile(y: Multigraph, w: Multigraph) -> np.ndarray:
+    """Per-base-point Hausdorff distance between the two fibers, shape (N,)."""
+    uy, uw = _fiber_bounds(y, w)
+    return np.maximum(uy.max(axis=1), uw.max(axis=1))
 
 
 @dataclass(frozen=True)
@@ -175,14 +214,33 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
     keep, an optional boolean (N,) mask of base points, restricts both the
     profile max and the graph rows (each base point owns n rows).  On exact
     data graph_dh <= delta; callers that need the invariant check it.
+
+    graph_dh equals hausdorff of the two (masked) graphs bitwise, without
+    querying every point.  Bound: the graph point (x_i, y_ij) has the point
+    (x_i, w_ik) of the other graph over the same base point, so its
+    nearest-neighbour distance is at most u_ij = min_k |y_ij - w_ik|, the
+    array fiber_profile reduces; u_ij = 0 means the point itself is in the
+    other graph.  Stop rule: each direction queries its points with u > 0 in
+    decreasing-u blocks and stops once the next u, widened by 1e-12 relative,
+    is at most the running max.  Exactness: the base coordinates of the
+    partner pair are equal, so the k-d tree's distance to the partner is the
+    square root of the summed squares of the same two real differences whose
+    hypot is u.  The two differ by a few ulp (where the squares are
+    subnormal, the summed squares exceed u^2 by less than one step of the
+    grid that every tree distance's square lies on), so every skipped point's
+    tree distance is at most the running max, and the max is the same float
+    as the full query's.
     """
-    profile = fiber_profile(y, w)
-    yg, wg = y.graph_points(), w.graph_points()
+    uy, uw = _fiber_bounds(y, w)
+    rows_y = rows_w = slice(None)
     if keep is not None:
-        profile = profile[keep]
-        rows = np.repeat(keep, y.n)
-        yg, wg = yg[rows], wg[rows]
-    return DeltaResult(float(profile.max()), hausdorff(yg, wg))
+        uy, uw = uy[keep], uw[keep]
+        rows_y, rows_w = np.repeat(keep, y.n), np.repeat(keep, w.n)
+    # each complex graph is dropped once its real copy exists: a lower peak
+    a, b = _to_real(y.graph_points()[rows_y]), _to_real(w.graph_points()[rows_w])
+    delta = float(max(uy.max(), uw.max()))
+    return DeltaResult(delta, max(_directed_bounded(a, b, uy.ravel()),
+                                  _directed_bounded(b, a, uw.ravel())))
 
 
 # ---------------------------------------------------------------------------

@@ -256,6 +256,13 @@ def test_counterexample_run(tmp_path):
     assert float(k2[1]) == 0.125
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: with 5 entries above the shelf the drift "
+                   "test cannot run, so fit_geometric_rate reads the algebraic 1/(2k^2) as geometric")
+def test_counterexample_k_max_6_exits_0(tmp_path):
+    cfg = dict(_STAIRCASE, k_max=6)
+    assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+
+
 def test_scalar_run(tmp_path):
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, SCALAR_CFG), "--out", str(out)]) == 0

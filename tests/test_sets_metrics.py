@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hyperapprox.demos import build_counterexample, counterexample_rates
 from hyperapprox.sets_metrics import (
     Multigraph,
     SampledCompact,
@@ -112,8 +115,8 @@ def test_graph_distance_above_delta_fails_forward_check(monkeypatch, tmp_path):
     from hyperapprox.cli import main
     from hyperapprox.forward import forward_rate_experiment
 
-    real = sets_metrics.hausdorff
-    monkeypatch.setattr(sets_metrics, "hausdorff", lambda a, b: real(a, b) + 1.0)
+    real = sets_metrics._directed_bounded
+    monkeypatch.setattr(sets_metrics, "_directed_bounded", lambda a, b, u: real(a, b, u) + 1.0)
     K = sample_segment(-1.0, 1.0, 101)
     F = Pseudopolynomial(2, (Const(0.0), Polynomial.from_coeffs_1d([-2.0, -1.0])))
     exp = forward_rate_experiment(F, K, range(1, 9))
@@ -135,6 +138,99 @@ def test_graph_distance_above_delta_fails_forward_check(monkeypatch, tmp_path):
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 3
     results = json.loads((tmp_path / "out" / "results.json").read_text())
     assert results["checks"]["graph_dh_le_delta"] is False
+
+
+def _unpruned(y, w, keep=None):
+    """(delta, graph_dh) of the masked multigraphs by a full query of every graph point."""
+    keep = np.ones(y.base.count, dtype=bool) if keep is None else keep
+    gy, gw = y.graph_points()[np.repeat(keep, y.n)], w.graph_points()[np.repeat(keep, w.n)]
+    return float(fiber_profile(y, w)[keep].max()), hausdorff(gy, gw)
+
+
+@st.composite
+def _multigraph_pairs(draw):
+    """Random pairs over one base: w's fibers repeat y's points cyclically
+    (w may have another n), about half of them exactly, the rest moved by
+    10^s with s in [-12, 1]; and a random keep mask.  Up to 1200 graph
+    points span several query blocks; a narrow base puts many nearest
+    neighbours in other fibers, so the bounds are loose."""
+    n, m, rows = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 300))
+    nw = draw(st.sampled_from([n, draw(st.integers(1, 4))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    width = draw(st.sampled_from([1e-3, 1.0, 100.0]))
+    base = SampledCompact(width * (rng.normal(size=(rows, m)) + 1j * rng.normal(size=(rows, m))),
+                          mesh=1e-3)
+    fy = rng.normal(size=(rows, n)) + 1j * rng.normal(size=(rows, n))
+    fw = fy[:, np.arange(nw) % n]
+    moved = rng.random(rows) < 0.5 if draw(st.booleans()) else np.zeros(rows, dtype=bool)
+    scale = 10.0 ** draw(st.floats(-12.0, 1.0))
+    shift = rng.normal(size=(rows, nw)) + 1j * rng.normal(size=(rows, nw))
+    fw[moved] += scale * shift[moved]
+    keep = rng.random(rows) < 0.8
+    keep[rng.integers(rows)] = True
+    return Multigraph(base, fy, n), Multigraph(base, fw, nw), keep
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_multigraph_pairs())
+def test_fiberwise_hausdorff_equals_unpruned_path(pair):
+    y, w, keep = pair
+    res = fiberwise_hausdorff(y, w, keep)
+    assert (res.delta, res.graph_dh) == _unpruned(y, w, keep)
+    if np.array_equal(y.fibers, w.fibers):  # identical graphs: no point is queried
+        assert res.graph_dh == 0.0
+
+
+def test_staircase_graph_distance_equals_unpruned_path():
+    mesh = 2.0 ** -14
+    rows = counterexample_rates(8, mesh)
+    stair = build_counterexample(8)
+    xs = np.arange(0.0, 1.0 + mesh / 2.0, mesh)
+    base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=mesh)
+    f_mg = Multigraph(base, stair.f(xs).reshape(-1, 1), 1)
+    for row in rows:
+        g_mg = Multigraph(base, stair.f_k(row.k, xs).reshape(-1, 1), 1)
+        assert fiberwise_hausdorff(f_mg, g_mg).graph_dh == row.graph_dh == _unpruned(f_mg, g_mg)[1]
+
+
+def _tied_bound_pair():
+    """The k-d tree's sqrt(0.47^2 + 0.14^2) is one ulp above the bound
+    hypot(0.47, 0.14): after a first block of 64 points at exactly that
+    bound, the last point, whose bound ties the running max, must be queried."""
+    u = abs(0.47 + 0.14j)
+    fw = np.full((65, 1), u, dtype=complex)
+    fw[64] = 0.47 + 0.14j
+    base = 10.0 * np.arange(65)
+    return _mg(base, np.zeros((65, 1)), 1), _mg(base, fw, 1)
+
+
+def _loose_bounds_pair():
+    """100 points whose partner is at least 1 away but whose nearest
+    neighbour sits at most 1e-7 away in another fiber (w is y shifted by one
+    fiber), then one isolated point at distance 0.5: the max lies past the
+    first block of bounds."""
+    base = np.append(1e-9 * np.arange(100), 1.0)
+    fy = np.append(np.arange(100.0), 1000.0)
+    fw = np.append(np.roll(np.arange(100.0), -1), 1000.5)
+    return _mg(base, fy.reshape(-1, 1), 1), _mg(base, fw.reshape(-1, 1), 1)
+
+
+@pytest.mark.parametrize("pair", [_tied_bound_pair, _loose_bounds_pair], ids=["tied", "loose"])
+def test_fiberwise_hausdorff_queries_every_point_that_can_win(pair):
+    y, w = pair()
+    assert fiberwise_hausdorff(y, w).graph_dh == _unpruned(y, w)[1]
+
+
+@pytest.mark.parametrize("where, row, value", [
+    ("fibers", 0, np.nan), ("fibers", 2, complex(0.0, np.inf)), ("base", 1, np.nan),
+])
+def test_multigraph_rejects_non_finite_rows(where, row, value):
+    # a skipped query must not hide a non-finite point: the multigraph refuses it
+    arrays = {"base": np.array([0.0, 0.5, 1.0, 1.5], dtype=complex),
+              "fibers": np.array([[1.0, -1.0], [2.0, 0.5], [0.0, 1.5], [1.0, 1.0]], dtype=complex)}
+    arrays[where][row] = value
+    with pytest.raises(ValueError, match=f"must be finite: row {row} is not"):
+        Multigraph(_compact(arrays["base"]), arrays["fibers"], 2)
 
 
 def test_fiberwise_base_mismatch():
