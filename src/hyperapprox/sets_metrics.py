@@ -133,25 +133,72 @@ def _directed(a_re: np.ndarray, b_re: np.ndarray) -> float:
 
 # first query block of _directed_bounded; each later block doubles
 _QUERY_BLOCK = 64
+# eps of _directed_bounded's approximate screen query, from a sweep over the
+# staircase table (1, 3, 5, 10 and 30 were timed; 3 to 30 tie)
+_SCREEN_EPS = 5.0
+# absolute part of _directed_bounded's box margin: its square, 1e-300, is far
+# above the subnormal grid step 2^-1074 of the tree's summed squares
+_BOX_ABS_MARGIN = 1e-150
 
 
 def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> float:
     """sup over a of the distance to b, given bound[i] >= dist(a_i, b) that is
-    exact where it is 0.  Serves fiberwise_hausdorff.
+    exact where it is 0, and attained up to rounding by a partner point of b
+    that differs from a_i only in the last column of each half (the fiber's
+    real and imaginary part).  Serves fiberwise_hausdorff.
 
-    Rows with bound 0 are never queried.  The others are queried against one
-    k-d tree on b in decreasing-bound blocks until the next bound, widened by
-    1e-12 relative, is at most the running max; no tree is built when no row
-    needs a query.
+    Rows with bound 0 are never queried.  The others are queried in
+    decreasing-bound blocks, skipping every row whose bound, widened by
+    1e-12 relative, is at most the running max, against one k-d tree on the
+    points of b that a queried row's nearest neighbour can be.  The result is
+    the same float as querying every row of a against a tree on all of b.
+
+    Box: with U the largest bound and M = U (1 + 1e-12) + 1e-150, the tree
+    holds the points of b inside the bounding box of the rows with bound > 0,
+    widened by M; b itself when the box holds every point.  Rounding is
+    monotone, so a point of b outside the box differs from every such row by
+    more than M in some coordinate, and the tree's summed squares for it are
+    at least about M^2.  For the partner they are at most u^2 (1 + 2^-50)
+    + 2^-1074, the last term where the squares are subnormal.  M^2 exceeds
+    that by the relative 1e-12 where u^2 is normal and by the absolute 1e-300
+    where it is not (for subnormal u the partner's summed squares round to 0),
+    so no point outside the box is nearer than the partner, which lies inside
+    it.  The tree computes the same float for the same pair of points
+    whatever other points it holds, so the nearest distance is unchanged.
+
+    Screen: after the first block, each block is first queried with the
+    (1 + eps)-approximate search bounded by the running max.  A finite
+    answer is the tree's distance to an actual point of b, so it is at least
+    the row's exact distance, and a row whose answer is at most the running
+    max cannot raise it.  Only the other rows, those that returned inf
+    included, get the exact query.
     """
     order = np.flatnonzero(bound > 0)
+    if order.size == 0:
+        return 0.0
     order = order[np.argsort(-bound[order], kind="stable")]
-    best, start, size, tree = 0.0, 0, _QUERY_BLOCK, None
-    while start < order.size and bound[order[start]] * (1.0 + 1e-12) > best:
-        if tree is None:
-            tree = cKDTree(b_re)
-        d, _ = tree.query(a_re[order[start:start + size]], k=1)
-        best = max(best, float(np.max(d)))
+    # coordinate-major copies: numpy reduces contiguous rows far faster than
+    # the columns of a narrow (N, 2m + 2) array
+    cand = np.take(a_re.T, order, axis=1)
+    margin = bound[order[0]] * (1.0 + 1e-12) + _BOX_ABS_MARGIN
+    lo, hi = cand.min(axis=1) - margin, cand.max(axis=1) + margin
+    coords = b_re.T.copy()
+    out = (coords.min(axis=1) < lo) | (coords.max(axis=1) > hi)
+    if out.any():
+        cols = coords[out]
+        b_re = b_re[((cols >= lo[out, None]) & (cols <= hi[out, None])).all(axis=0)]
+    tree = cKDTree(b_re)
+    best, start, size = 0.0, 0, _QUERY_BLOCK
+    while start < order.size:
+        rows = order[start:start + size]
+        block = a_re[rows[bound[rows] * (1.0 + 1e-12) > best]]
+        if not block.size:
+            break
+        if best > 0:
+            near, _ = tree.query(block, k=1, eps=_SCREEN_EPS, distance_upper_bound=best)
+            block = block[near > best]
+        if block.size:
+            best = max(best, float(np.max(tree.query(block, k=1)[0])))
         start, size = start + size, 2 * size
     return best
 
@@ -186,9 +233,8 @@ def _fiber_bounds(y: Multigraph, w: Multigraph):
     """min_k |y_ij - w_ik| (N, n_y) and min_j |y_ij - w_ik| (N, n_w): each
     fiber point's distance to the other fiber over the same base point, from
     one (N, n_y, n_w) array of pairwise distances."""
-    if y.base.points.shape != w.base.points.shape or not np.array_equal(
-        y.base.points, w.base.points
-    ):
+    if y.base is not w.base and (y.base.points.shape != w.base.points.shape
+                                 or not np.array_equal(y.base.points, w.base.points)):
         raise ValueError("multigraphs must share the same base sample points")
     d = np.abs(y.fibers[:, :, None] - w.fibers[:, None, :])
     return d.min(axis=2), d.min(axis=1)
@@ -212,8 +258,10 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
     graphs: the one path that computes this pair.
 
     keep, an optional boolean (N,) mask of base points, restricts both the
-    profile max and the graph rows (each base point owns n rows).  On exact
-    data graph_dh <= delta; callers that need the invariant check it.
+    profile max and the graph rows (each base point owns n rows); any other
+    keep raises ValueError, since an integer array would select rows by
+    index.  On exact data graph_dh <= delta; callers that need the invariant
+    check it.
 
     graph_dh equals hausdorff of the two (masked) graphs bitwise, without
     querying every point.  Bound: the graph point (x_i, y_ij) has the point
@@ -230,7 +278,24 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
     grid that every tree distance's square lies on), so every skipped point's
     tree distance is at most the running max, and the max is the same float
     as the full query's.
+
+    Two more exact savings (argued in _directed_bounded).  Box: the k-d tree
+    holds only the points of the other graph inside the bounding box of the
+    points with u > 0, widened by max u (1 + 1e-12) + 1e-150; the margin keeps
+    every partner inside and every point outside farther, in the tree's own
+    float arithmetic, than the partner, subnormal squares included.  Screen:
+    after the first block, a point whose (1 + eps)-approximate distance,
+    bounded by the running max, is finite and at most that max is not queried
+    exactly: that answer is the distance to an actual point, so the exact
+    one is no larger.
     """
+    if keep is not None:
+        keep = np.asarray(keep)
+        if keep.dtype != bool or keep.shape != (y.base.count,):
+            raise ValueError(f"keep must be a boolean array of shape ({y.base.count},), "
+                             f"got {keep.dtype} of shape {keep.shape}")
+        if keep.all():  # nothing masked: skip the masked copies
+            keep = None
     uy, uw = _fiber_bounds(y, w)
     rows_y = rows_w = slice(None)
     if keep is not None:

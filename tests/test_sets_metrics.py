@@ -215,10 +215,58 @@ def _loose_bounds_pair():
     return _mg(base, fy.reshape(-1, 1), 1), _mg(base, fw.reshape(-1, 1), 1)
 
 
-@pytest.mark.parametrize("pair", [_tied_bound_pair, _loose_bounds_pair], ids=["tied", "loose"])
+def _rounded_bound_pair():
+    """|1.0 - (-1.1e-16)| rounds to 1.0, so the partner lies just outside a
+    k-d tree box widened by exactly the largest bound."""
+    return _mg([0.0], [[1.0]], 1), _mg([0.0], [[-1.1e-16]], 1)
+
+
+def _subnormal_squares_pair():
+    """The partner's squared differences, 5.6 and 4.6 subnormal steps, round
+    to 6 + 5 = 11 steps, while a point of w over another base point, just
+    farther than the bound hypot = sqrt(10.2) steps, rounds to 10 steps: the
+    tree finds it nearer, although it lies outside a box widened by the bound
+    with a relative margin only.  A third row puts a point of y on w's
+    partner, so the other direction reads 0."""
+    step = 2.0 ** -537
+    p = complex(np.sqrt(5.6) * step, np.sqrt(4.6) * step)
+    base = [0.0, np.sqrt(10.3) * step, 2.0 ** -600]
+    return _mg(base, [[0.0], [0.0], [p]], 1), _mg(base, [[p], [0.0], [p]], 1)
+
+
+def _screened_pair():
+    """Each group is a point of y at bound c from its partner in w, an anchor
+    whose point of w lies `near` from it, and an anchor whose point of y lies
+    1e-3 from the partner.  The first block (64 groups, c = 10, near = 1) sets
+    the running max 1; the approximate screen skips 127 rows of the second
+    block (c = 5, near = 0.1); its last row (near = 1.5) then sets the max."""
+    xs, fw = [], []
+    for x, c, near in ([(10.0 * i, 10.0, 1.0) for i in range(64)]
+                       + [(1000.0 + i, 5.0, 0.1) for i in range(127)] + [(5000.0, 5.0, 1.5)]):
+        xs += [x, x + near, x + 1e-3]
+        fw += [c, 0.0, c]
+    fy = [c if k % 3 == 2 else 0.0 for k, c in enumerate(fw)]
+    return _mg(xs, np.reshape(fy, (-1, 1)), 1), _mg(xs, np.reshape(fw, (-1, 1)), 1)
+
+
+@pytest.mark.parametrize("pair", [_tied_bound_pair, _loose_bounds_pair, _rounded_bound_pair,
+                                  _subnormal_squares_pair, _screened_pair],
+                         ids=["tied", "loose", "rounded", "subnormal", "screened"])
 def test_fiberwise_hausdorff_queries_every_point_that_can_win(pair):
     y, w = pair()
     assert fiberwise_hausdorff(y, w).graph_dh == _unpruned(y, w)[1]
+
+
+@pytest.mark.parametrize("keep", [np.array([1, 1, 1]), np.ones(3), np.ones(4, dtype=bool),
+                                  np.ones((3, 1), dtype=bool)],
+                         ids=["int", "float", "long", "2-d"])
+def test_fiberwise_hausdorff_rejects_malformed_keep(keep):
+    # an integer mask would select rows 1, 1, 1 and read delta 0.0, not 4.0
+    y = _mg([0.0, 1.0, 2.0], np.zeros((3, 2)), 2)
+    w = _mg([0.0, 1.0, 2.0], [[4.0, 4.0], [0.0, 0.0], [0.0, 0.0]], 2)
+    assert fiberwise_hausdorff(y, w, np.ones(3, dtype=bool)).delta == 4.0
+    with pytest.raises(ValueError, match="keep must be a boolean array of shape"):
+        fiberwise_hausdorff(y, w, keep)
 
 
 @pytest.mark.parametrize("where, row, value", [
