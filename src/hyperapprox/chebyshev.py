@@ -11,13 +11,21 @@ the subexponential factor 1 + Lambda_d of it, which is all the rate
 arguments need.  Each result carries the approximant's values on the
 samples, from which its error is computed, so the forward pipeline solves
 the approximant's fibers from them without evaluating it again.
+
+The Vandermonde matrix is one gather per variable of that variable's power
+table, and each Polynomial is built straight from the graded-lex exponents
+and the solved coefficients.  Real samples on real points give a real
+solve, so the approximant's values have imaginary part 0 and forward
+solves its fibers from real companion matrices (see roots).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -27,8 +35,10 @@ from .sets_metrics import RateFit, SampledCompact, degree_list, fit_geometric_ra
 __all__ = ["ApproxResult", "least_squares", "scalar_bws_rate", "basis_dimension"]
 
 
-def _multi_indices(m: int, d: int):
-    """All exponent tuples with total degree <= d, graded-lex order."""
+@lru_cache(maxsize=None)
+def _multi_indices(m: int, d: int) -> tuple:
+    """All exponent tuples with total degree <= d, graded-lex order: the
+    order of Polynomial's terms."""
     out = []
     for total in range(d + 1):
         for combo in itertools.combinations_with_replacement(range(m), total):
@@ -37,8 +47,7 @@ def _multi_indices(m: int, d: int):
                 e[i] += 1
             out.append(tuple(e))
     # combinations_with_replacement already yields a canonical order per total
-    out = sorted(set(out), key=lambda e: (sum(e), e))
-    return out
+    return tuple(sorted(set(out), key=lambda e: (sum(e), e)))
 
 
 def basis_dimension(m: int, d: int) -> int:
@@ -59,16 +68,11 @@ def _affine_maps(pts: np.ndarray):
 
 
 def _vandermonde(w: np.ndarray, exponents) -> np.ndarray:
-    max_deg = max((max(e) for e in exponents), default=0)
-    pows = power_tables(w, [max_deg] * w.shape[1])
-    cols = []
-    for e in exponents:
-        col = np.ones(w.shape[0], dtype=w.dtype)
-        for i, k in enumerate(e):
-            if k:
-                col = col * pows[i][k]
-        cols.append(col)
-    return np.column_stack(cols)
+    """(N, k) matrix of the monomials w ** e, one gather of each variable's
+    power table, multiplied in variable order."""
+    E = np.array(exponents, dtype=int).reshape(len(exponents), w.shape[1])
+    pows = power_tables(w, E.max(axis=0))
+    return reduce(operator.mul, (pows[i][E[:, i]] for i in range(w.shape[1]))).T
 
 
 @dataclass(frozen=True)
@@ -127,8 +131,12 @@ def least_squares(F_samples, points, d: int) -> tuple[ApproxResult, ...]:
         rhs = F
     coeffs, _, rank, _ = np.linalg.lstsq(V, rhs, rcond=None)
     out = []
-    for j in range(F.shape[1]):
-        poly = Polynomial.from_terms(pts.shape[1], zip(exponents, coeffs[:, j]), centers, scales)
+    # the exponents are unique and graded-lex sorted, so each Polynomial is
+    # built as from_terms would build it; adding 0j complexifies a real
+    # solve and turns -0.0 parts into 0.0, as from_terms' sum does
+    for j, col in enumerate((coeffs + 0j).T.tolist()):
+        terms = tuple((e, c) for e, c in zip(exponents, col) if c != 0)
+        poly = Polynomial(pts.shape[1], terms, centers, scales)
         values = poly.evaluate_many(pts)
         err = float(np.abs(F[:, j] - values).max())
         out.append(ApproxResult(poly=poly, error=err, rank=int(rank), values=values))

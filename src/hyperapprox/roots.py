@@ -1,6 +1,11 @@
 """Root solving for monic univariate polynomials by batched companion
 eigenvalues, optimal (bottleneck) root matching, and the Hoelder-type root
 perturbation bound |zeta^a_j - zeta^b_j| <= 4 n C |a - b|_inf^(1/n).
+
+A batch whose coefficients are all real is solved from real companion
+matrices by the real QR algorithm, as backward stable as the complex one
+and faster; its fibers are exactly closed under conjugation, with real
+roots at imaginary part exactly 0.
 """
 
 from __future__ import annotations
@@ -85,8 +90,11 @@ def solve_monic_batch(coeffs: np.ndarray):
     matrices, computed in one batched call (backward stable for monic
     polynomials), followed by one Newton step that is kept only on rows
     where it lowers the max residual; iterations is therefore 1 on every
-    row.  A row whose residual misses DEFAULT_TOL * max(1, max|a_j|) is
-    relaxed to 1e-6 when its roots cluster (min pairwise gap < 1e-4), the
+    row.  The companion matrices are real (real QR, conjugate pairs exact)
+    when no coefficient in the batch has a nonzero imaginary part, and
+    complex otherwise.  A row whose residual misses
+    DEFAULT_TOL * max(1, max|a_j|) is relaxed to 1e-6 when its roots
+    cluster (min pairwise gap < 1e-4, computed on such rows only), the
     expected accuracy near multiple roots; converged says whether the row
     meets its (possibly relaxed) target.  Each row's roots are sorted by
     real, then imaginary part.
@@ -99,10 +107,11 @@ def solve_monic_batch(coeffs: np.ndarray):
         raise ValueError("coefficients must be finite")
     scale = np.maximum(1.0, np.abs(coeffs).max(axis=1))
 
-    companion = np.zeros((nbatch, n, n), dtype=complex)
-    companion[:, 0, :] = -coeffs
+    tail = coeffs if coeffs.imag.any() else coeffs.real
+    companion = np.zeros((nbatch, n, n), dtype=tail.dtype)
+    companion[:, 0, :] = -tail
     companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    z = np.linalg.eigvals(companion)
+    z = np.linalg.eigvals(companion).astype(complex)
 
     val, dval = _horner_monic_batch(coeffs, z)
     res = np.abs(val).max(axis=1)
@@ -112,8 +121,10 @@ def solve_monic_batch(coeffs: np.ndarray):
     z[better] = z_new[better]
     res[better] = res_new[better]
 
-    clustered = min_gaps(z) < CLUSTER_GAP
-    tol_used = np.where((res > DEFAULT_TOL * scale) & clustered, RELAXED_TOL, DEFAULT_TOL)
+    tol_used = np.full(nbatch, DEFAULT_TOL)
+    miss = np.flatnonzero(res > DEFAULT_TOL * scale)
+    if miss.size:
+        tol_used[miss[min_gaps(z[miss]) < CLUSTER_GAP]] = RELAXED_TOL
     converged = res <= tol_used * scale
 
     # canonical ordering for reproducibility

@@ -240,6 +240,19 @@ def _fiber_bounds(y: Multigraph, w: Multigraph):
     return d.min(axis=2), d.min(axis=1)
 
 
+def _real_graph(g: Multigraph, sel) -> np.ndarray:
+    """_to_real(g.graph_points()) over the base points sel selects, filled in
+    place: columns [Re x, Re t, Im x, Im t], n rows per base point."""
+    x, t = g.base.points[sel], g.fibers[sel]
+    m = x.shape[1]
+    out = np.empty(t.shape + (2 * m + 2,))
+    out[:, :, :m] = x.real[:, None, :]
+    out[:, :, m] = t.real
+    out[:, :, m + 1:-1] = x.imag[:, None, :]
+    out[:, :, -1] = t.imag
+    return out.reshape(t.size, -1)
+
+
 def fiber_profile(y: Multigraph, w: Multigraph) -> np.ndarray:
     """Per-base-point Hausdorff distance between the two fibers, shape (N,)."""
     uy, uw = _fiber_bounds(y, w)
@@ -296,13 +309,10 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
                              f"got {keep.dtype} of shape {keep.shape}")
         if keep.all():  # nothing masked: skip the masked copies
             keep = None
+    sel = slice(None) if keep is None else keep
     uy, uw = _fiber_bounds(y, w)
-    rows_y = rows_w = slice(None)
-    if keep is not None:
-        uy, uw = uy[keep], uw[keep]
-        rows_y, rows_w = np.repeat(keep, y.n), np.repeat(keep, w.n)
-    # each complex graph is dropped once its real copy exists: a lower peak
-    a, b = _to_real(y.graph_points()[rows_y]), _to_real(w.graph_points()[rows_w])
+    uy, uw = uy[sel], uw[sel]
+    a, b = _real_graph(y, sel), _real_graph(w, sel)
     delta = float(max(uy.max(), uw.max()))
     return DeltaResult(delta, max(_directed_bounded(a, b, uy.ravel()),
                                   _directed_bounded(b, a, uw.ravel())))

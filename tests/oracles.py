@@ -6,8 +6,9 @@ bottleneck matching, grid search for the best constant approximation, a
 linear program for the discrete minimax error, the Lebesgue constant of
 least squares from an orthonormal Chebyshev basis, the three-term
 Chebyshev recurrence for extremal-function growth, exact
-point-to-segment distances for the Hausdorff distance of polylines, and a
-direct walk of the JSON expression tree for coefficient functions.
+point-to-segment distances for the Hausdorff distance of polylines, a
+direct walk of the JSON expression tree for coefficient functions, and a
+column-by-column loop for the monomial Vandermonde matrix.
 """
 
 from __future__ import annotations
@@ -210,3 +211,24 @@ def eval_expr_json(node: dict, pts: np.ndarray) -> np.ndarray:
             raise ZeroDivisionError("inv denominator at a pole")
         return 1.0 / v
     return {"neg": np.negative, "exp": np.exp, "sin": np.sin, "cos": np.cos}[op](v)
+
+
+def vandermonde_loop(w: np.ndarray, exponents) -> np.ndarray:
+    """(N, k) monomial matrix of w (N, m), built one column at a time.
+
+    Each power w_i ** k is formed by k repeated multiplications starting
+    from 1, and each column multiplies the powers of its nonzero exponents
+    in variable order, so the entries are the same floats as those of a
+    power table gathered per variable.
+    """
+    cols = []
+    for e in exponents:
+        col = np.ones(w.shape[0], dtype=w.dtype)
+        for i, k in enumerate(e):
+            if k:
+                power = np.ones(w.shape[0], dtype=w.dtype)
+                for _ in range(k):
+                    power = power * w[:, i]
+                col = col * power
+        cols.append(col)
+    return np.column_stack(cols)

@@ -3,9 +3,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hyperapprox.chebyshev import basis_dimension, least_squares, scalar_bws_rate
+from hyperapprox.algebra import Polynomial
+from hyperapprox.chebyshev import (
+    _multi_indices,
+    _vandermonde,
+    basis_dimension,
+    least_squares,
+    scalar_bws_rate,
+)
 from hyperapprox.sets_metrics import SampledCompact, sample_box, sample_disc, sample_segment
-from tests.oracles import exp_cheb_tail, grid_minimax_constant, lebesgue_constant, lp_minimax
+from tests.oracles import (
+    exp_cheb_tail,
+    grid_minimax_constant,
+    lebesgue_constant,
+    lp_minimax,
+    vandermonde_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +230,43 @@ def test_values_are_the_polynomial_on_the_samples():
     (res,) = least_squares(f, K, 4)
     assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
     assert res.error == np.abs(f - res.values).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_vandermonde_equals_per_column_loop(m, kind):
+    rng = np.random.default_rng(10 * m)
+    w = rng.uniform(-1, 1, (40, m))
+    if kind == "complex":
+        w = w + 1j * rng.uniform(-1, 1, (40, m))
+    exponents = _multi_indices(m, 7)
+    V = _vandermonde(w, exponents)
+    assert V.shape == (40, basis_dimension(m, 7)) and V.dtype == w.dtype
+    assert np.array_equal(V, vandermonde_loop(w, exponents))
+
+
+def _fit_cases():
+    seg = sample_segment(-1.0, 3.0, 60)
+    x = seg.points[:, 0]
+    box = sample_box([(-1.0, 2.0), (0.0, 1.0)], 9)
+    u, v = box.points[:, 0], box.points[:, 1]
+    return [
+        ("real", seg, np.column_stack([np.exp(x), np.zeros(x.size), x ** 2]), 6),
+        ("complex", box, np.column_stack([np.exp(u * v) + 1j * np.sin(u), np.zeros(u.size)]), 4),
+    ]
+
+
+@pytest.mark.parametrize("name, K, F, d", _fit_cases(), ids=["real", "complex"])
+def test_least_squares_poly_equals_from_terms(name, K, F, d):
+    fits = least_squares(F, K, d)
+    center, scale = fits[0].poly.center, fits[0].poly.scale
+    w = (K.points - np.array(center)) / np.array(scale)
+    V = vandermonde_loop(w.real if name == "real" else w, _multi_indices(K.m, d))
+    coeffs = np.linalg.lstsq(V, F.real if name == "real" else F, rcond=None)[0]
+    for j, fit in enumerate(fits):
+        want = Polynomial.from_terms(K.m, zip(_multi_indices(K.m, d), coeffs[:, j]), center, scale)
+        assert fit.poly == want
+        assert repr(fit.poly) == repr(want)  # same types, same signed zeros
+    # the all-zero column is the zero polynomial
+    assert fits[1].poly.terms == () and fits[1].poly.degree == -1
+    assert fits[1].error == 0.0

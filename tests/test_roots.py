@@ -232,3 +232,40 @@ def test_min_gaps_per_row():
     z = np.array([[0.0, 3.0, 1.0], [2.0, 2.0, 5.0j]], dtype=complex)
     assert min_gaps(z).tolist() == [1.0, 0.0]
     assert min_gaps(np.array([[1.0], [2.0]], dtype=complex)).tolist() == [np.inf, np.inf]
+
+
+def _real_batch():
+    rng = np.random.default_rng(26)
+    return [rng.uniform(-3, 3, (60, n)) for n in (2, 3, 4, 6)]
+
+
+def test_real_batch_fibers_closed_under_conjugation():
+    for coeffs in _real_batch():
+        roots, _, _, _, ok = solve_monic_batch(coeffs)
+        assert ok.all()
+        for row, z in zip(coeffs, roots):
+            assert np.array_equal(np.sort_complex(z.conj()), np.sort_complex(z))
+            oracle = mp_roots(row)
+            scale = max(1.0, np.abs(row).max())
+            assert (z.imag == 0).sum() == (np.abs(oracle.imag) <= 1e-10 * scale).sum()
+
+
+def test_real_batch_matches_mpmath_oracle():
+    for coeffs in _real_batch():
+        roots, *_ = solve_monic_batch(coeffs)
+        for row, z in zip(coeffs, roots):
+            scale = max(1.0, np.abs(row).max())
+            assert match_roots(z, mp_roots(row)).bottleneck <= 1e-10 * scale
+
+
+def test_batch_with_one_complex_row_matches_rows_solved_alone():
+    for coeffs in _real_batch():
+        coeffs = coeffs.astype(complex)
+        coeffs[7, 1] += 0.5j
+        roots, res, _, tol_used, ok = solve_monic_batch(coeffs)
+        for i, row in enumerate(coeffs):
+            alone, res_1, _, tol_1, ok_1 = solve_monic_batch(row[None, :])
+            scale = max(1.0, np.abs(row).max())
+            assert match_roots(roots[i], alone[0]).bottleneck <= 1e-10 * scale
+            assert (ok[i], tol_used[i]) == (ok_1[0], tol_1[0])
+            assert res[i] <= tol_used[i] * scale and res_1[0] <= tol_1[0] * scale
