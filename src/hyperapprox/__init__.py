@@ -39,7 +39,6 @@ from .sets_metrics import (
     SampledCompact,
     fiberwise_hausdorff,
     fit_geometric_rate,
-    hausdorff,
     kuratowski_check,
     sample_box,
     sample_disc,

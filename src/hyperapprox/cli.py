@@ -247,9 +247,9 @@ def _multigraphs_json(target: Multigraph, approximants) -> dict:
     reader.  approximants lists (d, fibers) per degree.
 
     target_multigraph holds the base sample (m; points, row i being
-    [re x_i1 .. re x_im, im x_i1 .. im x_im]; mesh; shape) and
-    the target's n, fibers and flagged base points.  Every fibers entry is N
-    lists of n [re, im] pairs.
+    [re x_i1 .. re x_im, im x_i1 .. im x_im]; mesh) and the target's n,
+    fibers and flagged base points; the shape is the config echo's.  Every
+    fibers entry is N lists of n [re, im] pairs.
     """
     K = target.base
     return {
@@ -257,7 +257,6 @@ def _multigraphs_json(target: Multigraph, approximants) -> dict:
             "m": K.m,
             "points": np.column_stack([K.points.real, K.points.imag]).tolist(),
             "mesh": K.mesh,
-            "shape": K.shape.to_json(),
             "n": target.n,
             "fibers": _pairs(target.fibers),
             "flagged": list(target.flagged),
@@ -269,7 +268,7 @@ def _multigraphs_json(target: Multigraph, approximants) -> dict:
 def _read_forward(path: str):
     """(limit, w_seq, d_values) from the forward results.json at path.
 
-    Converse needs the base points, mesh, n and fibers; shape is not read.
+    Converse needs the base points, mesh, n and fibers.
     An unreadable file, a missing field, an empty approximant list, a
     flagged target, or points or fibers that are non-finite or shaped
     unlike the base and n are a ConfigError naming the file.

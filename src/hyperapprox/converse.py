@@ -90,20 +90,19 @@ def product_bound_constants(n: int, R: float, r: float, M: float | None = None) 
     return LemmaConstants(n=n, R=R, r=r, M=M, C=tuple(c), D=tuple(d))
 
 
-def detect_covering_number(w_seq, n_expected: int, x0_index: int, target_fiber=None) -> None:
+def detect_covering_number(w_seq, n_expected: int, x0_index: int, target_fiber) -> None:
     """Verify the sequence has covering number n_expected, using a base point
     whose target fiber has n_expected distinct values; raise
     CoveringNumberError otherwise.
 
     Fiber points at most SEPARATION_TOL (1e-3) apart count as one root, so
-    the target fiber (the last multigraph's fiber at x0_index when omitted)
-    must hold n_expected points whose smallest gap exceeds it.  Those points
-    are separated by disjoint closed discs of radius one third of that gap
-    (unbounded for a single point); for every multigraph in the tail of the
-    sequence, each disc must capture at least one fiber point at the
-    declared base point, while no multigraph may carry more than n_expected
-    points per fiber.  The tail must cover at least the second half of the
-    sequence.
+    target_fiber, the limit's fiber at x0_index, must hold n_expected points
+    whose smallest gap exceeds it.  Those points are separated by disjoint
+    closed discs of radius one third of that gap (unbounded for a single
+    point); for every multigraph in the tail of the sequence, each disc must
+    capture at least one fiber point at the declared base point, while no
+    multigraph may carry more than n_expected points per fiber.  The tail
+    must cover at least the second half of the sequence.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
@@ -114,8 +113,6 @@ def detect_covering_number(w_seq, n_expected: int, x0_index: int, target_fiber=N
                 f"at sequence entry {d_idx}", d=d_idx,
             )
 
-    if target_fiber is None:
-        target_fiber = w_seq[-1].fibers[x0_index]
     target_fiber = np.asarray(target_fiber, dtype=complex).ravel()
     gap = float(min_gaps(target_fiber[None, :])[0])
     if target_fiber.size != n_expected or gap <= SEPARATION_TOL:
@@ -170,18 +167,19 @@ def converse_experiment(w_seq, limit: Multigraph, *, d_values=None) -> ConverseR
     of algebraic multigraphs.
 
     Every multigraph must share the limit's base sample; the covering number
-    is the limit's n.  The fiberwise distances of w_seq to the limit must fit
-    a geometric decay in d_values (1, 2, ... when omitted), otherwise the
-    hypothesis fails and no reconstruction is attempted.  n is certified at
-    the base point whose limit fiber is best separated.  The verdict is
-    holomorphic-witness when every reconstructed coefficient's sup error
-    decays geometrically, rejected when some coefficient's fit is
-    not-geometric, and inconclusive otherwise (some fit has too few entries
-    above its floor, or too large a residual, to decide).  The witness
-    (reconstructed) is the least-squares polynomial fit of the last
-    multigraph's Vieta coefficients, at the largest degree <= the last of
-    d_values whose basis the base samples can carry.  Regularity of the
-    base compact is assumed, not checked here.
+    is the limit's n.  d_values lists one degree per multigraph (1, 2, ...
+    when omitted); a list of another length raises ValueError.  The
+    fiberwise distances of w_seq to the limit must fit a geometric decay in
+    d_values, otherwise the hypothesis fails and no reconstruction is
+    attempted.  n is certified at the base point whose limit fiber is best
+    separated.  The verdict is holomorphic-witness when every reconstructed
+    coefficient's sup error decays geometrically, rejected when some
+    coefficient's fit is not-geometric, and inconclusive otherwise (some fit
+    has too few entries above its floor, or too large a residual, to
+    decide).  The witness (reconstructed) is the least-squares polynomial
+    fit of the last multigraph's Vieta coefficients, at the largest degree
+    <= the last of d_values whose basis the base samples can carry.
+    Regularity of the base compact is assumed, not checked here.
     """
     if not w_seq:
         raise ValueError("empty multigraph sequence")
@@ -192,6 +190,8 @@ def converse_experiment(w_seq, limit: Multigraph, *, d_values=None) -> ConverseR
     if d_values is None:
         d_values = tuple(range(1, len(w_seq) + 1))
     d_values = tuple(int(d) for d in d_values)
+    if len(d_values) != len(w_seq):
+        raise ValueError(f"d_values lists {len(d_values)} degrees for {len(w_seq)} multigraphs")
 
     delta_pairs = [(d, float(fiber_profile(limit, w).max())) for d, w in zip(d_values, w_seq)]
     fit_floor = max(RATE_FLOOR, 10.0 * DEFAULT_TOL)

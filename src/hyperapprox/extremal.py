@@ -39,9 +39,6 @@ class StandardShape:
     def diameter(self) -> float:  # pragma: no cover
         raise NotImplementedError
 
-    def to_json(self) -> dict:  # pragma: no cover
-        raise NotImplementedError
-
 
 def _phi_unit_segment(w: np.ndarray) -> np.ndarray:
     # |w + sqrt(w^2 - 1)| with the branch of modulus >= 1; the two branch
@@ -67,10 +64,6 @@ class Disc(StandardShape):
     def diameter(self):
         return 2.0 * self.radius
 
-    def to_json(self):
-        c = complex(self.center)
-        return {"kind": "disc", "center": [c.real, c.imag], "radius": self.radius}
-
 
 @dataclass(frozen=True)
 class Segment(StandardShape):
@@ -93,10 +86,6 @@ class Segment(StandardShape):
 
     def diameter(self):
         return float(abs(self.b - self.a))
-
-    def to_json(self):
-        a, b = complex(self.a), complex(self.b)
-        return {"kind": "segment", "a": [a.real, a.imag], "b": [b.real, b.imag]}
 
 
 @dataclass(frozen=True)
@@ -125,9 +114,6 @@ class Box(StandardShape):
     def diameter(self):
         return float(np.sqrt(sum((hi - lo) ** 2 for lo, hi in self.intervals)))
 
-    def to_json(self):
-        return {"kind": "box", "intervals": [list(iv) for iv in self.intervals]}
-
 
 @dataclass(frozen=True)
 class Polydisc(StandardShape):
@@ -152,9 +138,6 @@ class Polydisc(StandardShape):
 
     def diameter(self):
         return float(2.0 * np.sqrt(sum(r * r for r in self.radii)))
-
-    def to_json(self):
-        return {"kind": "polydisc", "radii": list(self.radii)}
 
 
 def shape_from_json(data: dict) -> StandardShape:

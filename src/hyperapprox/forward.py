@@ -83,7 +83,6 @@ class ForwardExperiment:
 
     F: Pseudopolynomial
     K: SampledCompact
-    d_range: tuple
     records: tuple
     delta_fit: RateFit
     graph_fit: RateFit
@@ -159,7 +158,6 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
     return ForwardExperiment(
         F=F,
         K=K,
-        d_range=tuple(d_list),
         records=records,
         delta_fit=delta_fit,
         graph_fit=graph_fit,

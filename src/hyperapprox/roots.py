@@ -179,13 +179,17 @@ def match_roots(a_roots, b_roots) -> RootMatching:
     Binary search over the sorted pairwise distances, with a bipartite
     feasibility matching at each candidate threshold; minimizes the maximum
     matched distance (the renumbering used by the root perturbation bound).
+    Raises ValueError unless the roots, and so their distances, are finite.
     """
     a = np.asarray(a_roots, dtype=complex).ravel()
     b = np.asarray(b_roots, dtype=complex).ravel()
     if a.size != b.size or a.size == 0:
         raise ValueError(f"root multisets must have equal positive size, got {a.size} and {b.size}")
     dists = np.abs(a[:, None] - b[None, :])
-    candidates = np.unique(dists)
+    candidates = np.unique(dists)  # ascending, NaN last
+    # a non-finite root is at distance inf or NaN from every root of the other set
+    if not np.isfinite(candidates[-1]):
+        raise ValueError("roots and their distances must be finite")
     lo, hi = 0, candidates.size - 1
     best_perm = None
     while lo <= hi:
@@ -208,11 +212,14 @@ def match_bottlenecks(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     max of the gathered pairwise distances, one (N, n) gather per
     permutation; larger n falls back to match_roots per row.  Either way
     row i equals match_roots(y[i], w[i]).bottleneck bitwise: both take the
-    same entries of the same distance array.
+    same entries of the same distance array.  Raises ValueError unless both
+    arrays are finite.
     """
     nrows, n = y.shape
     if w.shape != y.shape or n == 0:
         raise ValueError(f"fiber arrays must share a shape (N, n >= 1), got {y.shape} and {w.shape}")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(w))):
+        raise ValueError("fibers must be finite")
     if n > 4:
         return np.array([match_roots(a, b).bottleneck for a, b in zip(y, w)])
     dists = np.abs(y[:, :, None] - w[:, None, :])

@@ -1,6 +1,7 @@
-"""Sampled compact sets and multigraphs, the extended Hausdorff distance,
-the fiberwise (sup-over-base) Hausdorff metric, sampled Kuratowski
-convergence checks, and geometric convergence-rate fitting.
+"""Sampled compact sets and multigraphs, the fiberwise (sup-over-base)
+Hausdorff metric together with the Hausdorff distance of the sampled
+graphs, sampled Kuratowski convergence checks, and geometric
+convergence-rate fitting.
 
 All sets are finite samples, so every sup/inf is a finite max/min; each
 sample records its covering radius (mesh) so distances carry an honest
@@ -23,7 +24,6 @@ __all__ = [
     "DeltaResult",
     "KuratowskiReport",
     "RateFit",
-    "hausdorff",
     "fiberwise_hausdorff",
     "fiber_profile",
     "kuratowski_check",
@@ -121,16 +121,6 @@ class Multigraph:
 # ---------------------------------------------------------------------------
 # distances
 
-def _directed(a_re: np.ndarray, b_re: np.ndarray) -> float:
-    """sup over a of the distance to b (both nonempty real arrays).
-
-    Exact nearest-neighbour queries of every point of a against a k-d tree on
-    b; deterministic.  Serves hausdorff and sample_disc's covering radius.
-    """
-    d, _ = cKDTree(b_re).query(a_re, k=1)
-    return float(np.max(d))
-
-
 # first query block of _directed_bounded; each later block doubles
 _QUERY_BLOCK = 64
 # eps of _directed_bounded's approximate screen query, from a sweep over the
@@ -209,26 +199,6 @@ def _points_of(obj) -> np.ndarray:
     return np.atleast_2d(np.asarray(obj, dtype=complex))
 
 
-def hausdorff(e, f, ambient_diam: float | None = None) -> float:
-    """Extended Hausdorff distance between finite samples.
-
-    Max of the two directed sup-inf distances in the Euclidean norm; 0 when
-    both sets are empty; ambient diameter + 1 when exactly one is empty
-    (ambient_diam required in that case).  This is the plain set distance,
-    which queries every point; fiberwise_hausdorff computes the graph
-    distance of two multigraphs over one base by a pruned kernel instead.
-    """
-    ep, fp = _points_of(e), _points_of(f)
-    if ep.shape[0] == 0 and fp.shape[0] == 0:
-        return 0.0
-    if ep.shape[0] == 0 or fp.shape[0] == 0:
-        if ambient_diam is None:
-            raise ValueError("ambient_diam required when exactly one set is empty")
-        return float(ambient_diam) + 1.0
-    a, b = _to_real(ep), _to_real(fp)
-    return max(_directed(a, b), _directed(b, a))
-
-
 def _fiber_bounds(y: Multigraph, w: Multigraph):
     """min_k |y_ij - w_ik| (N, n_y) and min_j |y_ij - w_ik| (N, n_w): each
     fiber point's distance to the other fiber over the same base point, from
@@ -276,8 +246,10 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
     index.  On exact data graph_dh <= delta; callers that need the invariant
     check it.
 
-    graph_dh equals hausdorff of the two (masked) graphs bitwise, without
-    querying every point.  Bound: the graph point (x_i, y_ij) has the point
+    graph_dh equals, bitwise and without querying every point, the plain
+    Hausdorff distance of the two (masked) graphs that queries every point
+    against a k-d tree on the other (the tests' oracle
+    tests/oracles.py::hausdorff).  Bound: the graph point (x_i, y_ij) has the point
     (x_i, w_ik) of the other graph over the same base point, so its
     nearest-neighbour distance is at most u_ij = min_k |y_ij - w_ik|, the
     array fiber_profile reduces; u_ij = 0 means the point itself is in the
@@ -334,9 +306,7 @@ class KuratowskiReport:
 
     cond1: bool
     cond2: bool
-    nu0: int | None
     per_step_sup: tuple
-    witness_min_dist: tuple
 
 
 def tail_start(flags) -> int | None:
@@ -376,16 +346,12 @@ def kuratowski_check(seq, limit: SampledCompact, tol: float, witnesses=()) -> Ku
     half = len(seq) // 2
     cond1 = nu0 is not None and nu0 <= half
 
-    witness_mins = []
     cond2 = True
     for w in witnesses:
         w_re = _to_real(_points_of(w))
-        mins = tuple(float(np.min(tree.query(w_re, k=1)[0])) for tree in trees)
-        witness_mins.append(mins)
-        okw = [d > tol for d in mins]
-        start = tail_start(okw)
+        start = tail_start([float(np.min(tree.query(w_re, k=1)[0])) > tol for tree in trees])
         cond2 = cond2 and start is not None and start <= half
-    return KuratowskiReport(cond1, cond2, nu0, tuple(sup_dists), tuple(witness_mins))
+    return KuratowskiReport(cond1, cond2, tuple(sup_dists))
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +375,6 @@ class RateFit:
     floor_mask: tuple
     verdict: str
     limsup_proxy: float
-    theta_head: float | None = None
-    theta_tail: float | None = None
     floor: float = RATE_FLOOR
     n_used: int = 0
 
@@ -479,7 +443,6 @@ def fit_geometric_rate(pairs, floor: float = RATE_FLOOR) -> RateFit:
     m_env *= 1.0 + 1e-12  # keep the envelope assertion safe under rounding
 
     active = keep[al_all[keep] > NOISE_SHELF]
-    theta_head = theta_tail = None
     drift_bad = False
     if active.size >= 6:
         half = (active.size + 1) // 2
@@ -500,8 +463,7 @@ def fit_geometric_rate(pairs, floor: float = RATE_FLOOR) -> RateFit:
     else:
         verdict = "inconclusive"
     return RateFit(M=float(m_env), theta=theta, residual=residual, floor_mask=floor_mask,
-                   verdict=verdict, limsup_proxy=limsup_proxy,
-                   theta_head=theta_head, theta_tail=theta_tail, floor=floor,
+                   verdict=verdict, limsup_proxy=limsup_proxy, floor=floor,
                    n_used=int(keep.size))
 
 
@@ -536,7 +498,8 @@ def sample_disc(center: complex, radius: float, grid_n: int = 41) -> SampledComp
     pz = px.ravel() + 1j * py.ravel()
     pz = pz[np.abs(pz) <= radius] + center
     # covering radius: farthest probe point of the disc from the samples
-    mesh = _directed(_to_real(pz.reshape(-1, 1)), _to_real(pts.reshape(-1, 1)))
+    tree = cKDTree(_to_real(pts.reshape(-1, 1)))
+    mesh = float(tree.query(_to_real(pz.reshape(-1, 1)))[0].max())
     return SampledCompact(pts.reshape(-1, 1), mesh=mesh, shape=Disc(center, radius))
 
 

@@ -6,17 +6,25 @@ bottleneck matching, grid search for the best constant approximation, a
 linear program for the discrete minimax error, the Lebesgue constant of
 least squares from an orthonormal Chebyshev basis, the three-term
 Chebyshev recurrence for extremal-function growth, exact
-point-to-segment distances for the Hausdorff distance of polylines, a
+point-to-segment distances for the Hausdorff distance of polylines, the
+plain Hausdorff distance of finite samples by querying every point, a
 direct walk of the JSON expression tree for coefficient functions, and a
 column-by-column loop for the monomial Vandermonde matrix.
+
+The plain Hausdorff distance is the unpruned reference for the library's
+fiberwise_hausdorff, which must return the same float; it therefore
+computes with the same k-d tree queries, on points laid out in the
+library's real column order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import mpmath
 import numpy as np
+from scipy.spatial import cKDTree
 
 
 def mp_roots(monic_tail) -> np.ndarray:
@@ -33,16 +41,41 @@ def mp_roots(monic_tail) -> np.ndarray:
     return np.array([complex(r) for r in roots])
 
 
+@functools.lru_cache(maxsize=None)
+def _permutations(n: int) -> np.ndarray:
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+
+
 def brute_bottleneck(a, b) -> float:
-    """Minimal over all bijections of the max pairwise distance (n <= 8)."""
+    """Minimal over all bijections of the max pairwise distance (n <= 8):
+    each row of the (n!, n) table of permutations gathers its n distances."""
     a = np.asarray(a, dtype=complex).ravel()
     b = np.asarray(b, dtype=complex).ravel()
     assert a.size == b.size <= 8
-    best = np.inf
-    for perm in itertools.permutations(range(b.size)):
-        worst = max(abs(a[i] - b[j]) for i, j in enumerate(perm))
-        best = min(best, worst)
-    return float(best)
+    dists = np.abs(a[:, None] - b[None, :])
+    return float(dists[np.arange(a.size), _permutations(a.size)].max(axis=1).min())
+
+
+def hausdorff(e, f, ambient_diam: float | None = None) -> float:
+    """Extended Hausdorff distance between finite samples of C^m, each a
+    SampledCompact or an (N, m) point array.
+
+    Max of the two directed sup-inf distances in the Euclidean norm, each
+    querying every point against a k-d tree on the other set's points,
+    taken as real rows [Re x, Im x].  Three cases: 0 when both sets are
+    empty; ambient_diam + 1 when exactly one is (ambient_diam is then
+    required); the distance otherwise.
+    """
+    ep, fp = (np.atleast_2d(np.asarray(getattr(s, "points", s), dtype=complex)) for s in (e, f))
+    if ep.shape[0] == 0 and fp.shape[0] == 0:
+        return 0.0
+    if ep.shape[0] == 0 or fp.shape[0] == 0:
+        if ambient_diam is None:
+            raise ValueError("ambient_diam required when exactly one set is empty")
+        return float(ambient_diam) + 1.0
+    a, b = (np.column_stack([p.real, p.imag]) for p in (ep, fp))
+    return max(float(np.max(cKDTree(b).query(a, k=1)[0])),
+               float(np.max(cKDTree(a).query(b, k=1)[0])))
 
 
 def grid_minimax_constant(values: np.ndarray, resolution: int = 200001) -> float:

@@ -374,7 +374,7 @@ def test_forward_artifact_layout(tmp_path, cfg):
                             "approximant_multigraphs"}
     assert set(results["fits"]) == {"delta", "graph_dh", "coefficients"}
     target = results["target_multigraph"]
-    assert set(target) == {"m", "points", "mesh", "shape", "n", "fibers", "flagged"}
+    assert set(target) == {"m", "points", "mesh", "n", "fibers", "flagged"}
     m, n = target["m"], target["n"]
     assert (m, n) == (len(cfg["shape"].get("intervals", [0])), 2)
     count = len(target["points"])

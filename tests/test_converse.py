@@ -83,7 +83,7 @@ def test_lemma_bound_brute_force():
 def test_detect_covering_number_from_pipeline(K401):
     F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))  # fibers {1, -1} everywhere
     mg = sample_multigraph(K401, F.coefficients_at(K401.points))
-    detect_covering_number([mg, mg, mg, mg], 2, x0_index=0)
+    detect_covering_number([mg, mg, mg, mg], 2, x0_index=0, target_fiber=mg.fibers[0])
 
 
 def test_detect_covering_number_rejects_spurious_branch(K401):
@@ -91,7 +91,7 @@ def test_detect_covering_number_rejects_spurious_branch(K401):
     mg = sample_multigraph(K401, F.coefficients_at(K401.points))
     bloated = Multigraph(K401, tuple(np.append(f, 5.0) for f in mg.fibers), 3)
     with pytest.raises(CoveringNumberError):
-        detect_covering_number([bloated], 2, x0_index=0)
+        detect_covering_number([bloated], 2, x0_index=0, target_fiber=mg.fibers[0])
 
 
 def test_detect_covering_number_needs_separated_point():
@@ -100,17 +100,18 @@ def test_detect_covering_number_needs_separated_point():
     F = Pseudopolynomial(2, (Const(0.0), Neg(Coord(0))))
     mg = sample_multigraph(base, F.coefficients_at(base.points))
     with pytest.raises(CoveringNumberError):
-        detect_covering_number([mg], 2, x0_index=0)
-    detect_covering_number([mg], 2, x0_index=1)
+        detect_covering_number([mg], 2, x0_index=0, target_fiber=mg.fibers[0])
+    detect_covering_number([mg], 2, x0_index=1, target_fiber=mg.fibers[1])
 
 
 def test_detect_covering_number_separation_boundary():
     # target points exactly SEPARATION_TOL apart count as one root; a wider
     # gap separates them
     base = SampledCompact(np.array([[0.0]], dtype=complex), mesh=0.5)
+    close, apart = np.array([0.0, 0.001]), np.array([0.0, 0.0011])
     with pytest.raises(CoveringNumberError):
-        detect_covering_number([Multigraph(base, (np.array([0.0, 0.001]),), 2)], 2, x0_index=0)
-    detect_covering_number([Multigraph(base, (np.array([0.0, 0.0011]),), 2)], 2, x0_index=0)
+        detect_covering_number([Multigraph(base, (close,), 2)], 2, x0_index=0, target_fiber=close)
+    detect_covering_number([Multigraph(base, (apart,), 2)], 2, x0_index=0, target_fiber=apart)
 
 
 def test_reconstruct_constant_fibers():
@@ -186,6 +187,16 @@ def test_constant_sequence_trivially_geometric(K401):
     res = converse_experiment(w_seq, mg)
     assert res.verdict == "holomorphic-witness"
     assert res.delta_fit.theta == 0.0
+
+
+@pytest.mark.parametrize("count", [6, 11])
+def test_d_values_of_another_length_rejected(K401, count):
+    # 8 multigraphs with fewer or more degrees: nothing is truncated or
+    # fitted at a degree that has no multigraph
+    F = Pseudopolynomial(2, (Const(0.0), Const(-1.0)))
+    mg = sample_multigraph(K401, F.coefficients_at(K401.points))
+    with pytest.raises(ValueError, match=f"d_values lists {count} degrees for 8 multigraphs"):
+        converse_experiment([mg] * 8, mg, d_values=range(1, count + 1))
 
 
 def test_sequence_on_another_base_rejected(K401):

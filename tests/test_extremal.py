@@ -106,11 +106,15 @@ def test_unsupported_shape_rejected():
         shape_from_json({"kind": "annulus", "r": 1.0})
 
 
-def test_shape_json_round_trip():
-    shapes = [Disc(0.5 - 0.25j, 2.0), Segment(-1.0, 1.0), Box(((-1.0, 1.0), (0.0, 2.0))),
-              Polydisc((1.0, 2.0))]
-    for shape in shapes:
-        assert shape_from_json(shape.to_json()) == shape
+def test_shape_from_json_reads_each_kind():
+    cases = [
+        ({"kind": "disc", "center": [0.5, -0.25], "radius": 2.0}, Disc(0.5 - 0.25j, 2.0)),
+        ({"kind": "segment", "a": [-1.0, 0.0], "b": [1.0, 0.0]}, Segment(-1.0, 1.0)),
+        ({"kind": "box", "intervals": [[-1.0, 1.0], [0.0, 2.0]]}, Box(((-1.0, 1.0), (0.0, 2.0)))),
+        ({"kind": "polydisc", "radii": [1.0, 2.0]}, Polydisc((1.0, 2.0))),
+    ]
+    for data, shape in cases:
+        assert shape_from_json(data) == shape
 
 
 def test_phi_dimension_mismatch():

@@ -111,13 +111,26 @@ def test_match_identity():
     assert match_roots(a, a).bottleneck == 0.0
 
 
+def _attained(a, b, matching) -> float:
+    """The largest distance that the matching's permutation pairs."""
+    return float(np.abs(np.asarray(a) - np.asarray(b)[list(matching.permutation)]).max())
+
+
 def test_match_against_bruteforce():
+    # normal draws, and grid draws (one with a single root of multiplicity
+    # n) whose repeated roots and exactly tied distances leave several
+    # optimal permutations
     rng = np.random.default_rng(13)
-    for _ in range(60):
-        n = int(rng.integers(1, 7))
-        a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        b = rng.normal(size=n) + 1j * rng.normal(size=n)
-        assert match_roots(a, b).bottleneck == pytest.approx(brute_bottleneck(a, b), abs=1e-12)
+    grid = np.array([-1.0, 0.0, 0.5, 1.0, 1j, 0.5 + 1j])
+    for n in range(1, 9):
+        for _ in range(8):
+            normal = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(2)]
+            ties = [rng.choice(grid, size=n) for _ in range(2)]
+            repeated = [np.full(n, rng.choice(grid)), rng.choice(grid, size=n)]
+            for a, b in (normal, ties, repeated):
+                m = match_roots(a, b)
+                assert m.bottleneck == pytest.approx(brute_bottleneck(a, b), abs=1e-12)
+                assert _attained(a, b, m) == m.bottleneck
 
 
 # a coarse grid forces repeated roots and exactly tied distances
@@ -126,24 +139,46 @@ _grid_point = st.builds(complex, st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.samp
 
 @st.composite
 def _fiber_pairs(draw):
-    n = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
     rows = draw(st.integers(1, 20))
     point = st.one_of(_grid_point, _coeff)
     y, w = (np.array(draw(st.lists(point, min_size=rows * n, max_size=rows * n))).reshape(rows, n)
             for _ in range(2))
+    if draw(st.booleans()):  # every row of y one root of multiplicity n
+        y[:] = y[:, :1]
     return y, w
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(_fiber_pairs())
 def test_match_bottlenecks_rows_equal_match_roots(pair):
-    # n = 5, 6 take the per-row fallback, n <= 4 the permutation minimum
+    # n = 5..8 take the per-row fallback, n <= 4 the permutation minimum
     y, w = pair
     got = match_bottlenecks(y, w)
     assert got.shape == (y.shape[0],)
     for i in range(y.shape[0]):
-        assert got[i] == match_roots(y[i], w[i]).bottleneck
+        m = match_roots(y[i], w[i])
+        assert got[i] == m.bottleneck == _attained(y[i], w[i], m)
         assert got[i] == pytest.approx(brute_bottleneck(y[i], w[i]), abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+def test_match_roots_rejects_nonfinite(bad):
+    for a, b in (([bad], [0.0]), ([bad, 1.0], [0.0, 1.0]), ([0.0, 1.0], [1.0, bad])):
+        with pytest.raises(ValueError, match="finite"):
+            match_roots(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 5])
+def test_match_bottlenecks_rejects_nonfinite(n):
+    # both the permutation minimum (n <= 4) and the per-row fallback
+    y = np.zeros((3, n), dtype=complex)
+    for bad in (np.nan, np.inf):
+        w = y.copy()
+        w[1, -1] = bad
+        for args in ((y, w), (w, y)):
+            with pytest.raises(ValueError, match="finite"):
+                match_bottlenecks(*args)
 
 
 def test_match_symmetry():

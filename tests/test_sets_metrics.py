@@ -12,19 +12,19 @@ from hyperapprox.sets_metrics import (
     fiber_profile,
     fiberwise_hausdorff,
     fit_geometric_rate,
-    hausdorff,
     kuratowski_check,
     sample_box,
     sample_disc,
     sample_segment,
 )
+from tests.oracles import hausdorff
 
 
 def _compact(points, mesh=1e-3):
     return SampledCompact(np.asarray(points, dtype=complex).reshape(-1, 1), mesh=mesh)
 
 
-# ---------------------------------------------------------------- hausdorff
+# ------------------------------------------------- hausdorff (test oracle)
 
 
 def test_hausdorff_identical_sets():
