@@ -30,7 +30,7 @@ from .demos import (
     counterexample_rates,
     fiberwise_constant_probe,
 )
-from .extremal import Box, Disc, Polydisc, Segment, continuity_probe, siciak_phi
+from .extremal import Box, Disc, Polydisc, Segment, siciak_phi
 from .forward import ForwardExperiment, forward_rate_experiment, sample_multigraph
 from .roots import RootMatching, RootSet, hoelder_check, match_roots, solve_monic
 from .sets_metrics import (

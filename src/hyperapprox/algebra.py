@@ -150,7 +150,7 @@ class Polynomial:
         pows = power_tables(pts, max_deg)
         out = np.zeros(n, dtype=complex)
         for exps, coeff in self.terms:
-            mono = np.full(n, coeff, dtype=complex)
+            mono = coeff
             for i, e in enumerate(exps):
                 if e:
                     mono = mono * pows[i][e]

@@ -28,7 +28,7 @@ from .algebra import Pseudopolynomial, check_num_vars, expr_from_json
 from .chebyshev import basis_dimension, scalar_bws_rate
 from .converse import converse_experiment
 from .demos import closure_failure_demo, counterexample_rates
-from .extremal import continuity_probe, shape_from_json
+from .extremal import shape_from_json
 from .forward import forward_rate_experiment
 from .sets_metrics import (
     Multigraph,
@@ -360,9 +360,6 @@ def _run_closure(cfg: dict, out: Path) -> dict:
 def _run_extremal(cfg: dict, out: Path) -> dict:
     shape = _parse_shape(cfg)
     step = _number("grid_step", cfg["grid_step"], above=0.0)
-    grid_mesh = step * math.sqrt(2) / 2.0
-    # continuity_probe needs h >= 2 * grid_mesh = sqrt(2) * step
-    h = 2.5 * step
     if shape.dim != 1:
         raise ConfigError("extremal command currently samples 1-dimensional shapes")
     # the scan is the square of half-width diam(K) centred on K: a disc's
@@ -381,10 +378,9 @@ def _run_extremal(cfg: dict, out: Path) -> dict:
     gx, gy = np.meshgrid(xs, xs)
     pts = (mid + gx.ravel() + 1j * gy.ravel()).reshape(-1, 1)
     vals = shape.phi_many(pts)
-    osc = continuity_probe(shape, pts, grid_mesh, h)
     _write_csv(out / "phi.csv", ["re", "im", "phi"],
                [[float(p[0].real), float(p[0].imag), float(v)] for p, v in zip(pts, vals)])
-    return {"oscillation": osc, "h": h}
+    return {}
 
 
 # command -> (runner, {field: default}); a None default leaves the value to the
@@ -404,9 +400,13 @@ COMMANDS = tuple(_COMMANDS)
 
 def run(config: ExperimentConfig, out_dir: str | None = None) -> int:
     """Run the config's command, write results.json, and return 0 when every
-    named check in it holds, else 3.  Raises ConfigError on a bad field."""
+    named check in it holds, else 3.  Raises ConfigError on a bad field or
+    an output directory that cannot be created."""
     out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out} cannot be created: {exc}") from exc
     try:
         payload = _COMMANDS[config.command][0](config.fields, out)
     except ConfigError:

@@ -5,8 +5,9 @@ fibers by Vieta's formulas, verify that their decay inherits the geometric
 rate through explicit product-perturbation constants, and emit the
 reconstructed pseudopolynomial.
 
-It assumes K is regular (Phi_K continuous), as holds for the standard
-catalogue; the extremal command probes Phi_K's continuity on a grid.
+It assumes K is regular (Phi_K continuous).  That is an assumption of the
+standard catalogue, whose closed-form Phi_K are continuous; the library does
+not check it.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ __all__ = [
     "Box",
     "Polydisc",
     "siciak_phi",
-    "continuity_probe",
     "shape_from_json",
 ]
 
@@ -166,20 +165,3 @@ def siciak_phi(shape: StandardShape, z) -> float:
         raise ValueError(f"point dimension {pts.shape[1]} != shape dimension {shape.dim}")
     return float(shape.phi_many(pts)[0])
 
-
-def continuity_probe(shape: StandardShape, grid_points: np.ndarray, grid_mesh: float, h: float) -> float:
-    """Max |phi(p) - phi(q)| over grid pairs at distance <= h.
-
-    A numeric modulus-of-continuity estimate: for the standard catalogue it
-    tends to 0 with h.  Requires h >= 2 * grid mesh so that every point has
-    neighbours inside its h-ball.
-    """
-    if h < 2.0 * grid_mesh:
-        raise ValueError(f"need h >= 2 * grid mesh ({2 * grid_mesh:.3e}), got {h:.3e}")
-    pts = np.atleast_2d(np.asarray(grid_points, dtype=complex))
-    vals = shape.phi_many(pts)
-    re = np.column_stack([pts.real, pts.imag])
-    from scipy.spatial import cKDTree
-
-    pairs = cKDTree(re).query_pairs(h, output_type="ndarray")
-    return float(np.abs(vals[pairs[:, 0]] - vals[pairs[:, 1]]).max(initial=0.0))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import Pseudopolynomial
 from .chebyshev import basis_dimension, least_squares
-from .roots import DEFAULT_TOL, min_gaps, solve_monic_batch
+from .roots import CLUSTER_GAP, DEFAULT_TOL, min_gaps, solve_monic_batch
 from .sets_metrics import (
     RATE_FLOOR,
     Multigraph,
@@ -48,15 +48,16 @@ def sample_multigraph(K: SampledCompact, coeffs: np.ndarray) -> Multigraph:
     multiplicity.  Sample points where the solver fails to converge are
     flagged and kept with their best iterate; forward_rate_experiment
     excludes them from every sup and fails its no_flagged_points check.
+    When more than half the fibers have two roots closer than the solver's
+    CLUSTER_GAP, the fiber polynomial may not be reduced (a multiple root
+    persists over the base); that is a warning only.
     """
     roots, _res, _it, _tol, ok = solve_monic_batch(coeffs)
     flagged = tuple(int(i) for i in np.nonzero(~ok)[0])
     if flagged:
         warnings.warn(f"root solver flagged {len(flagged)} sample point(s)", RuntimeWarning)
     mg = Multigraph(K, roots, coeffs.shape[1], flagged)
-    # persistent fiber collisions across the base suggest a non-reduced
-    # (degenerate) fiber polynomial; surface that as a warning only
-    if K.count and np.mean(min_gaps(roots) < 1e-8) > 0.5:
+    if K.count and np.mean(min_gaps(roots) < CLUSTER_GAP) > 0.5:
         warnings.warn(
             "fibers show persistent root collisions; the fiber polynomial "
             "may not be reduced", RuntimeWarning,

@@ -284,8 +284,7 @@ def test_extremal_run(tmp_path):
     out = tmp_path / "out"
     assert main(["run", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
     results = json.loads((out / "results.json").read_text())
-    assert "checks" not in results
-    assert results["h"] == 2.5 * 0.1
+    assert list(results) == ["config"]
 
 
 @pytest.mark.parametrize("shape", [
@@ -534,6 +533,18 @@ def test_named_check_fails(tmp_path, monkeypatch, forward_results, cfg, setup, f
 
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("via", ["--out", "out_dir"])
+def test_uncreatable_out_dir_exits_2(tmp_path, capsys, via):
+    # an output directory under a regular file cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = str(blocker / "out")
+    cfg = dict(_EXTREMAL, out_dir=out) if via == "out_dir" else _EXTREMAL
+    flags = ["--out", out] if via == "--out" else []
+    assert main(["run", _write_cfg(tmp_path, cfg), *flags]) == 2
+    assert f"output directory {out}" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_3(tmp_path):

@@ -8,7 +8,6 @@ from hyperapprox.extremal import (
     Disc,
     Polydisc,
     Segment,
-    continuity_probe,
     shape_from_json,
     siciak_phi,
 )
@@ -64,41 +63,23 @@ def test_product_rule_exact():
     assert np.array_equal(poly.phi_many(pts), rhs)
 
 
-def _grid(half, step):
-    xs = np.arange(-half, half + step / 2, step)
+def test_phi_continuous_at_grid_neighbours():
+    # converse assumes K regular (Phi_K continuous); on the catalogue that
+    # follows from the closed forms: a disc's Phi_K is Lipschitz with constant
+    # 1/r, and a box's moves between grid neighbours no more than a factor's
+    step, r = 0.004, 0.8
+    xs = np.arange(-1.5, 1.5 + step / 2, step)
     gx, gy = np.meshgrid(xs, xs)
-    return (gx.ravel() + 1j * gy.ravel()).reshape(-1, 1)
-
-
-def test_continuity_probe_disc_lipschitz():
-    pts = _grid(1.5, 0.004)
-    osc = continuity_probe(Disc(0.0, 1.0), pts, grid_mesh=0.004, h=0.01)
-    assert osc <= 0.011
-
-
-def test_continuity_probe_decreases_with_h():
-    pts = _grid(1.5, 0.01)
-    seg = Segment(-1.0, 1.0)
-    osc_big = continuity_probe(seg, pts, grid_mesh=0.01, h=0.08)
-    osc_small = continuity_probe(seg, pts, grid_mesh=0.01, h=0.04)
-    assert osc_small <= osc_big
-
-
-def test_continuity_probe_product_bounded_by_factors():
+    z = gx + 1j * gy
+    phi = Disc(0.2 + 0.1j, r).phi_many(z.ravel()).reshape(z.shape)
+    for axis in (0, 1):
+        assert np.abs(np.diff(phi, axis=axis)).max() <= step / r + 1e-12
     xs = np.arange(-1.2, 1.2001, 0.05)
     g1, g2 = np.meshgrid(xs, xs)
-    pts2 = np.column_stack([g1.ravel(), g2.ravel()]).astype(complex)
-    box = Box(((-1.0, 1.0), (-1.0, 1.0)))
-    osc2 = continuity_probe(box, pts2, grid_mesh=0.05, h=0.12)
-    osc1 = continuity_probe(Segment(-1.0, 1.0), xs.reshape(-1, 1).astype(complex),
-                            grid_mesh=0.05, h=0.12)
-    assert osc2 <= osc1 + 1e-12
-
-
-def test_continuity_probe_rejects_small_h():
-    pts = _grid(1.0, 0.1)
-    with pytest.raises(ValueError):
-        continuity_probe(Disc(0.0, 1.0), pts, grid_mesh=0.1, h=0.15)
+    box = Box(((-1.0, 1.0), (-1.0, 1.0))).phi_many(np.column_stack([g1.ravel(), g2.ravel()]))
+    segment_jump = np.abs(np.diff(Segment(-1.0, 1.0).phi_many(xs))).max()
+    for axis in (0, 1):
+        assert np.abs(np.diff(box.reshape(g1.shape), axis=axis)).max() <= segment_jump + 1e-12
 
 
 def test_unsupported_shape_rejected():

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,19 @@ def test_sample_multigraph_square_root_fibers():
         got = sorted(fib, key=lambda z: (z.real, z.imag))
         want = sorted([r, -r], key=lambda z: (z.real, z.imag))
         np.testing.assert_allclose(got, want, atol=1e-8)
+
+
+def test_collision_warning_reads_the_solvers_cluster_gap(K401):
+    # rounding splits a double root by about 1.5e-8, so a gap threshold of
+    # that size would see some fibers and miss others; the solver's
+    # CLUSTER_GAP (1e-4) sees them all
+    c = K401.points[:, 0] + 0.5j
+    with pytest.warns(RuntimeWarning, match="persistent root collisions"):
+        sample_multigraph(K401, np.column_stack([-2.0 * c, c * c]))  # (t - x - 0.5i)^2
+    F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))  # t^2 - e^x
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_multigraph(K401, F.coefficients_at(K401.points))
 
 
 def test_records_satisfy_graph_le_delta(exp_experiment):

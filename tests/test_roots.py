@@ -4,7 +4,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hyperapprox import roots
 from hyperapprox.roots import (
+    NonConvergenceError,
     hoelder_check,
     match_bottlenecks,
     match_roots,
@@ -221,6 +223,35 @@ def test_hoelder_linear_case():
     assert rep.passed
 
 
+def _set_last_row(monkeypatch, tol_used, converged):
+    # the solver's verdict on the last row of every batch, as if it had found it
+    solve = roots.solve_monic_batch
+
+    def patched(coeffs):
+        z, res, iterations, tol, ok = solve(coeffs)
+        tol, ok = tol.copy(), ok.copy()
+        tol[-1], ok[-1] = tol_used, converged
+        return z, res, iterations, tol, ok
+
+    monkeypatch.setattr(roots, "solve_monic_batch", patched)
+
+
+def test_hoelder_tol_used_is_the_solvers(monkeypatch):
+    a, b = [1.5, -0.5], [1.5, -0.4]
+    assert hoelder_check(a, b, C=2.0).tol_used == roots.DEFAULT_TOL
+    _set_last_row(monkeypatch, roots.RELAXED_TOL, True)
+    assert hoelder_check(a, b, C=2.0).tol_used == roots.RELAXED_TOL
+
+
+def test_flagged_row_raises_naming_the_tested_target(monkeypatch):
+    # both raisers report tol_used * max(1, max|a_j|), the target the solver tested
+    _set_last_row(monkeypatch, roots.DEFAULT_TOL, False)
+    with pytest.raises(NonConvergenceError, match=r"target 1\.500e-12$"):
+        hoelder_check([1.5, -0.5], [1.5, -0.4], C=2.0)
+    with pytest.raises(NonConvergenceError, match=r"target 3\.000e-12$"):
+        solve_monic([3.0, -2.0])
+
+
 def test_hoelder_rejects_bad_constant():
     with pytest.raises(ValueError):
         hoelder_check([0.5], [0.2], C=1.0)
@@ -242,6 +273,7 @@ def test_hoelder_random_trials():
         rep = hoelder_check(a, b, C)
         assert rep.passed, f"bound failed: lhs {rep.lhs.max()} rhs {rep.rhs}"
         assert rep.ratio <= 1.0 + 1e-6
+        assert rep.tol_used == solve_monic_batch(np.stack([a, b]))[3].max()
 
 
 def _draw_bounded(rng, n, C):
