@@ -63,10 +63,12 @@ def test_product_rule_exact():
     assert np.array_equal(poly.phi_many(pts), rhs)
 
 
-def test_phi_continuous_at_grid_neighbours():
-    # converse assumes K regular (Phi_K continuous); on the catalogue that
-    # follows from the closed forms: a disc's Phi_K is Lipschitz with constant
-    # 1/r, and a box's moves between grid neighbours no more than a factor's
+# converse assumes K regular (Phi_K continuous); on the catalogue that follows
+# from the closed forms, probed here at neighbouring points of a grid
+
+
+def test_continuity_probe_disc_lipschitz():
+    # a disc's Phi_K is Lipschitz with constant 1/r
     step, r = 0.004, 0.8
     xs = np.arange(-1.5, 1.5 + step / 2, step)
     gx, gy = np.meshgrid(xs, xs)
@@ -74,6 +76,10 @@ def test_phi_continuous_at_grid_neighbours():
     phi = Disc(0.2 + 0.1j, r).phi_many(z.ravel()).reshape(z.shape)
     for axis in (0, 1):
         assert np.abs(np.diff(phi, axis=axis)).max() <= step / r + 1e-12
+
+
+def test_continuity_probe_product_bounded_by_factors():
+    # a box's Phi_K moves between grid neighbours no more than a factor's
     xs = np.arange(-1.2, 1.2001, 0.05)
     g1, g2 = np.meshgrid(xs, xs)
     box = Box(((-1.0, 1.0), (-1.0, 1.0))).phi_many(np.column_stack([g1.ravel(), g2.ravel()]))
