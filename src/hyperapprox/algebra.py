@@ -356,14 +356,14 @@ def vieta_from_roots(roots) -> np.ndarray:
 
     roots is one root vector (n,) or a batch (N, n) with one polynomial per
     row; the output has the same shape.  Each row's linear factors are
-    multiplied in a canonical order (sorted by real, then imaginary part),
-    so the output is exactly permutation-invariant.  The product runs as one
+    multiplied in a canonical order (sorted by real, then imaginary part,
+    by the stable complex sort that orders solve_monic_batch's rows), so
+    the output is exactly permutation-invariant.  The product runs as one
     column recurrence over the (n, N) layout.
     """
     z = np.asarray(roots, dtype=complex)
     rows = np.atleast_2d(z)
-    order = np.lexsort((rows.imag, rows.real), axis=1)
-    cols = np.ascontiguousarray(np.take_along_axis(rows, order, axis=1).T)
+    cols = np.ascontiguousarray(np.sort(rows, axis=1, kind="stable").T)
     n = cols.shape[0]
     coeffs = np.zeros((n + 1, cols.shape[1]), dtype=complex)
     coeffs[0] = 1.0

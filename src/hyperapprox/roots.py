@@ -98,21 +98,25 @@ def solve_monic_batch(coeffs: np.ndarray):
     cluster (min pairwise gap < 1e-4, computed on such rows only), the
     expected accuracy near multiple roots; converged says whether the row
     meets its (possibly relaxed) target.  Each row's roots are sorted by
-    real, then imaginary part.
+    real, then imaginary part, by numpy's stable complex sort, so equal
+    roots (signed zeros included) keep their computed order; on finite
+    roots this is the order of a lexsort on (imag, real).
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=complex))
     nbatch, n = coeffs.shape
     if n < 1:
         raise ValueError("fiber degree n must be >= 1")
-    if not np.all(np.isfinite(coeffs)):
+    if not np.isfinite(coeffs).all():
         raise ValueError("coefficients must be finite")
     scale = np.maximum(1.0, np.abs(coeffs).max(axis=1))
 
     tail = coeffs if coeffs.imag.any() else coeffs.real
-    companion = np.zeros((nbatch, n, n), dtype=tail.dtype)
-    companion[:, 0, :] = -tail
-    companion[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-    z = np.linalg.eigvals(companion).astype(complex)
+    # row-major (N, n*n): first row -a, then the subdiagonal of ones at
+    # flat positions n, 2n + 1, ..., one strided slice
+    companion = np.zeros((nbatch, n * n), dtype=tail.dtype)
+    companion[:, :n] = -tail
+    companion[:, n :: n + 1] = 1.0
+    z = np.linalg.eigvals(companion.reshape(nbatch, n, n)).astype(complex)
 
     val, dval = _horner_monic_batch(coeffs, z)
     res = np.abs(val).max(axis=1)
@@ -129,8 +133,7 @@ def solve_monic_batch(coeffs: np.ndarray):
     converged = res <= tol_used * scale
 
     # canonical ordering for reproducibility
-    order = np.lexsort((z.imag, z.real), axis=1)
-    z = np.take_along_axis(z, order, axis=1)
+    z = np.sort(z, axis=1, kind="stable")
     return z, res, np.ones(nbatch, dtype=int), tol_used, converged
 
 
@@ -151,14 +154,16 @@ def solve_monic(coeffs) -> RootSet:
 # bottleneck matching
 
 
-def _kuhn_perfect_matching(adj: np.ndarray):
-    """Perfect matching in a bipartite boolean adjacency matrix, or None."""
-    n = adj.shape[0]
+def _kuhn_perfect_matching(dists: list, threshold: float):
+    """Perfect matching of the bipartite graph with an edge (u, v) wherever
+    dists[u][v] <= threshold (nested lists of floats), or None."""
+    n = len(dists)
     match_r = [-1] * n
 
     def try_augment(u, seen):
+        row = dists[u]
         for v in range(n):
-            if adj[u, v] and not seen[v]:
+            if row[v] <= threshold and not seen[v]:
                 seen[v] = True
                 if match_r[v] == -1 or try_augment(match_r[v], seen):
                     match_r[v] = u
@@ -178,9 +183,11 @@ def match_roots(a_roots, b_roots) -> RootMatching:
     """Bottleneck matching between two equal-size multisets in C.
 
     Binary search over the sorted pairwise distances, with a bipartite
-    feasibility matching at each candidate threshold; minimizes the maximum
-    matched distance (the renumbering used by the root perturbation bound).
-    Raises ValueError unless the roots, and so their distances, are finite.
+    feasibility matching (Kuhn's augmenting paths) at each candidate
+    threshold; minimizes the maximum matched distance (the renumbering used
+    by the root perturbation bound).  The matching runs on the distances as
+    Python floats, so each edge test is one float comparison.  Raises
+    ValueError unless the roots, and so their distances, are finite.
     """
     a = np.asarray(a_roots, dtype=complex).ravel()
     b = np.asarray(b_roots, dtype=complex).ravel()
@@ -191,18 +198,19 @@ def match_roots(a_roots, b_roots) -> RootMatching:
     # a non-finite root is at distance inf or NaN from every root of the other set
     if not np.isfinite(candidates[-1]):
         raise ValueError("roots and their distances must be finite")
-    lo, hi = 0, candidates.size - 1
+    rows, thresholds = dists.tolist(), candidates.tolist()
+    lo, hi = 0, len(thresholds) - 1
     best_perm = None
     while lo <= hi:
         mid = (lo + hi) // 2
-        perm = _kuhn_perfect_matching(dists <= candidates[mid])
+        perm = _kuhn_perfect_matching(rows, thresholds[mid])
         if perm is not None:
             best_perm = perm
             hi = mid - 1
         else:
             lo = mid + 1
     assert best_perm is not None  # full threshold always matches
-    bottleneck = float(max(dists[i, best_perm[i]] for i in range(a.size)))
+    bottleneck = max(rows[i][v] for i, v in enumerate(best_perm))
     return RootMatching(best_perm, bottleneck)
 
 
@@ -264,10 +272,10 @@ def hoelder_check(a_coeffs, b_coeffs, C: float) -> HoelderReport:
     n = a.size
     if C <= 1.0:
         raise ValueError(f"need C > 1, got {C}")
-    if np.abs(a).max(initial=0.0) > C or np.abs(b).max(initial=0.0) > C:
+    both = np.stack([a, b])
+    if np.abs(both).max(initial=0.0) > C:
         raise ValueError("coefficient max norm exceeds C; hypothesis violated")
 
-    both = np.stack([a, b])
     sets, res, _iters, tol, ok = solve_monic_batch(both)
     if not ok.all():
         i = int(np.argmin(ok))

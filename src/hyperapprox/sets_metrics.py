@@ -6,6 +6,10 @@ convergence-rate fitting.
 All sets are finite samples, so every sup/inf is a finite max/min; each
 sample records its covering radius (mesh) so distances carry an honest
 +-2*mesh error bar.
+
+scipy.spatial is loaded by the first k-d tree built (the graph Hausdorff
+distance, kuratowski_check, sample_disc and so sample_polydisc), not on
+import, so the paths that build no tree run on numpy alone.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .extremal import Box, Disc, Polydisc, Segment, StandardShape
 
@@ -42,6 +45,14 @@ NOISE_SHELF = 1e-10
 RESIDUAL_MAX = 3.0
 DRIFT_MAX = 1.15
 GEOMETRIC_THETA_MAX = 0.95
+
+
+def _kdtree(points: np.ndarray):
+    """A k-d tree on real points (N, k).  scipy.spatial is imported here, at
+    the first tree built, so paths that build none never load it."""
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
 
 
 def _to_real(pts: np.ndarray) -> np.ndarray:
@@ -177,7 +188,7 @@ def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> 
     if out.any():
         cols = coords[out]
         b_re = b_re[((cols >= lo[out, None]) & (cols <= hi[out, None])).all(axis=0)]
-    tree = cKDTree(b_re)
+    tree = _kdtree(b_re)
     best, start, size = 0.0, 0, _QUERY_BLOCK
     while start < order.size:
         rows = order[start:start + size]
@@ -339,7 +350,7 @@ def kuratowski_check(seq, limit: SampledCompact, tol: float, witnesses=()) -> Ku
     if tol <= max(meshes):
         raise ValueError(f"tol {tol:.3e} must exceed the sampling mesh {max(meshes):.3e}")
     lim_re = _to_real(limit.points)
-    trees = [cKDTree(_to_real(s.points)) for s in seq]
+    trees = [_kdtree(_to_real(s.points)) for s in seq]
     sup_dists = [float(np.max(tree.query(lim_re, k=1)[0])) for tree in trees]
     ok1 = [d <= tol for d in sup_dists]
     nu0 = tail_start(ok1)
@@ -498,7 +509,7 @@ def sample_disc(center: complex, radius: float, grid_n: int = 41) -> SampledComp
     pz = px.ravel() + 1j * py.ravel()
     pz = pz[np.abs(pz) <= radius] + center
     # covering radius: farthest probe point of the disc from the samples
-    tree = cKDTree(_to_real(pts.reshape(-1, 1)))
+    tree = _kdtree(_to_real(pts.reshape(-1, 1)))
     mesh = float(tree.query(_to_real(pz.reshape(-1, 1)))[0].max())
     return SampledCompact(pts.reshape(-1, 1), mesh=mesh, shape=Disc(center, radius))
 

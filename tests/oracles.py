@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own code paths: mpmath's
 extended-precision polyroots for root solving, exhaustive permutations for
-bottleneck matching, grid search for the best constant approximation, a
+bottleneck matching, the same binary search as match_roots with Kuhn's
+matching on boolean adjacency matrices, a lexsort and a gather for the
+canonical root order, grid search for the best constant approximation, a
 linear program for the discrete minimax error, the Lebesgue constant of
 least squares from an orthonormal Chebyshev basis, the three-term
 Chebyshev recurrence for extremal-function growth, exact
@@ -54,6 +56,56 @@ def brute_bottleneck(a, b) -> float:
     assert a.size == b.size <= 8
     dists = np.abs(a[:, None] - b[None, :])
     return float(dists[np.arange(a.size), _permutations(a.size)].max(axis=1).min())
+
+
+def lexsort_rows(z) -> np.ndarray:
+    """Each row of z (N, n) ordered by real, then imaginary part, ties in
+    their given order: the canonical root order as lexsort and a gather."""
+    z = np.atleast_2d(np.asarray(z, dtype=complex))
+    return np.take_along_axis(z, np.lexsort((z.imag, z.real), axis=1), axis=1)
+
+
+def _kuhn_bool(adj: np.ndarray):
+    """Perfect matching in a bipartite boolean adjacency matrix, or None."""
+    n = adj.shape[0]
+    match_r = [-1] * n
+
+    def try_augment(u, seen):
+        for v in range(n):
+            if adj[u, v] and not seen[v]:
+                seen[v] = True
+                if match_r[v] == -1 or try_augment(match_r[v], seen):
+                    match_r[v] = u
+                    return True
+        return False
+
+    for u in range(n):
+        if not try_augment(u, [False] * n):
+            return None
+    perm = [0] * n
+    for v, u in enumerate(match_r):
+        perm[u] = v
+    return tuple(perm)
+
+
+def bool_kuhn_matching(a, b) -> tuple:
+    """(permutation, bottleneck) of the binary search over the sorted
+    pairwise distances of equal-size finite multisets a, b, testing each
+    threshold by Kuhn's matching on the boolean matrix dists <= threshold."""
+    a = np.asarray(a, dtype=complex).ravel()
+    b = np.asarray(b, dtype=complex).ravel()
+    dists = np.abs(a[:, None] - b[None, :])
+    candidates = np.unique(dists)
+    lo, hi = 0, candidates.size - 1
+    best = None
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        perm = _kuhn_bool(dists <= candidates[mid])
+        if perm is not None:
+            best, hi = perm, mid - 1
+        else:
+            lo = mid + 1
+    return best, float(max(dists[i, best[i]] for i in range(a.size)))
 
 
 def hausdorff(e, f, ambient_diam: float | None = None) -> float:
