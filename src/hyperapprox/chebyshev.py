@@ -5,12 +5,16 @@ Every fit runs on the monomial basis in the coordinates w = (z - center) /
 scale that place the samples in the unit box, and the returned Polynomial
 keeps that affine map with the coefficients solved for, so a translated or
 rescaled compact gives the same approximation error.  least_squares fits
-every column of an (N, k) sample array with one solve; its sup error on
-the samples is an upper bound on the discrete minimax error, and within
-the subexponential factor 1 + Lambda_d of it, which is all the rate
+every column of an (N, k) sample array at every degree of a run from one
+Householder QR of the top degree's graded-lex Vandermonde matrix: the
+degree-<= d basis is its leading columns, so each degree is a small
+triangular least-squares solve, not an N-row lstsq of its own.  Its sup
+error on the samples is an upper bound on the discrete minimax error, and
+within the subexponential factor 1 + Lambda_d of it, which is all the rate
 arguments need.  Each result carries the approximant's values on the
-samples, from which its error is computed, so the forward pipeline solves
-the approximant's fibers from them without evaluating it again.
+samples, the Vandermonde product from which its error is computed, so the
+forward pipeline solves the approximant's fibers from them without
+evaluating the polynomial.
 
 The Vandermonde matrix is one gather per variable of that variable's power
 table, and each Polynomial is built straight from the graded-lex exponents
@@ -79,9 +83,13 @@ def _vandermonde(w: np.ndarray, exponents) -> np.ndarray:
 class ApproxResult:
     """A degree-<= d least-squares approximant with its discrete sup error.
 
-    values is poly evaluated on the samples, and error is max |f - values|:
-    recomputed from the returned polynomial after the solve, not read off
-    the solver residual.  rank is the rank of the Vandermonde solve.
+    values is the polynomial on the samples through the Vandermonde
+    product V_k c, the leading k = basis_dimension(m, d) columns of the
+    run's matrix times the solved coefficients, and error is max |f -
+    values|.  The unit-box map gives |w| <= 1, so every monomial has
+    modulus at most 1 and values differs from poly.evaluate_many(samples)
+    by at most 2 k eps sum |c_e|: each side sums k terms of the same power
+    tables (Higham's gamma_k, ch. 3).  rank is the numerical rank of V_k.
     """
 
     poly: Polynomial
@@ -90,32 +98,41 @@ class ApproxResult:
     values: np.ndarray = field(repr=False)
 
 
-def least_squares(F_samples, points, d: int) -> tuple[ApproxResult, ...]:
-    """Least-squares degree-<= d fits of every column of F_samples, one
-    result per column.
+def least_squares(F_samples, points, degrees) -> tuple[tuple[ApproxResult, ...], ...]:
+    """Least-squares fits of every column of F_samples at every degree of
+    degrees: one tuple of results per degree, in the order given, and one
+    result per column within it.
 
     points may be a SampledCompact or an (N, m) complex array; F_samples is
-    (N, k), or (N,) for one column.  All columns share one Vandermonde
-    matrix and one lstsq solve, whose rank every result reports.  The fit
-    runs in the per-coordinate unit-box coordinates of the samples, and
-    each returned polynomial carries that center and scale with the solved
-    coefficients.  Each error is the fit's sup error on the samples, an
-    upper bound on the discrete minimax error.
+    (N, k), or (N,) for one column.  The fit runs in the per-coordinate
+    unit-box coordinates of the samples, and each returned polynomial
+    carries that center and scale with the solved coefficients.
+
+    One graded-lex Vandermonde matrix V at max(degrees) is factored once,
+    V = QR (Householder, reduced), and G = Q^H F.  In graded order the
+    degree-<= d basis is the leading k_d columns of V, and V_k = Q_k R_k
+    with Q_k orthonormal, so each degree's fit is the least-squares solve
+    of R_k c = G_k: the singular values of R_k are those of V_k, so the
+    rank rule (rcond = eps max(N, k)) and the minimum-norm solution are
+    those of lstsq on V_k itself, rank-deficient samples included.  Each
+    error is the fit's sup error on the samples, an upper bound on the
+    discrete minimax error.
     """
+    degrees = [operator.index(d) for d in degrees]
+    if not degrees or min(degrees) < 0:
+        raise ValueError(f"degrees must be a nonempty list of degrees >= 0, got {degrees}")
     pts = points.points if isinstance(points, SampledCompact) else np.atleast_2d(
         np.asarray(points, dtype=complex)
     )
     F = np.asarray(F_samples, dtype=complex)
     if F.shape[0] != pts.shape[0]:
         raise ValueError("sample count mismatch between values and points")
-    if d < 0:
-        raise ValueError("degree must be >= 0")
     F = F.reshape(pts.shape[0], -1)
-    exponents = _multi_indices(pts.shape[1], d)
-    dim = len(exponents)
-    if pts.shape[0] < dim:
+    n_pts, m = pts.shape
+    exponents = _multi_indices(m, max(degrees))
+    if n_pts < len(exponents):
         raise ValueError(
-            f"Vandermonde rank is at most {pts.shape[0]} < {dim} basis monomials: "
+            f"Vandermonde rank is at most {n_pts} < {len(exponents)} basis monomials: "
             "too few samples for this degree"
         )
 
@@ -129,17 +146,24 @@ def least_squares(F_samples, points, d: int) -> tuple[ApproxResult, ...]:
     else:
         V = _vandermonde(w.astype(complex), exponents)
         rhs = F
-    coeffs, _, rank, _ = np.linalg.lstsq(V, rhs, rcond=None)
+    Q, R = np.linalg.qr(V)
+    G = Q.conj().T @ rhs
+    eps = np.finfo(float).eps
     out = []
-    # the exponents are unique and graded-lex sorted, so each Polynomial is
-    # built as from_terms would build it; adding 0j complexifies a real
-    # solve and turns -0.0 parts into 0.0, as from_terms' sum does
-    for j, col in enumerate((coeffs + 0j).T.tolist()):
-        terms = tuple((e, c) for e, c in zip(exponents, col) if c != 0)
-        poly = Polynomial(pts.shape[1], terms, centers, scales)
-        values = poly.evaluate_many(pts)
-        err = float(np.abs(F[:, j] - values).max())
-        out.append(ApproxResult(poly=poly, error=err, rank=int(rank), values=values))
+    for d in degrees:
+        k = basis_dimension(m, d)
+        coeffs, _, rank, _ = np.linalg.lstsq(R[:k, :k], G[:k], rcond=eps * max(n_pts, k))
+        values = V[:, :k] @ coeffs + 0j
+        fits = []
+        # the exponents are unique and graded-lex sorted, so each Polynomial
+        # is built as from_terms would build it; adding 0j complexifies a real
+        # solve and turns -0.0 parts into 0.0, as from_terms' sum does
+        for j, col in enumerate((coeffs + 0j).T.tolist()):
+            terms = tuple((e, c) for e, c in zip(exponents, col) if c != 0)
+            poly = Polynomial(m, terms, centers, scales)
+            err = float(np.abs(F[:, j] - values[:, j]).max())
+            fits.append(ApproxResult(poly=poly, error=err, rank=int(rank), values=values[:, j]))
+        out.append(tuple(fits))
     return tuple(out)
 
 
@@ -155,5 +179,7 @@ def scalar_bws_rate(f_samples, K: SampledCompact, d_range) -> tuple[list, RateFi
     of the errors stay below 1; the range must span at least 6 distinct
     degrees.
     """
-    errors = [(d, least_squares(f_samples, K, d)[0].error) for d in degree_list(d_range)]
+    d_list = degree_list(d_range)
+    fits = least_squares(f_samples, K, d_list)
+    errors = [(d, fit[0].error) for d, fit in zip(d_list, fits)]
     return errors, fit_geometric_rate(errors)

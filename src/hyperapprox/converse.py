@@ -240,7 +240,8 @@ def converse_experiment(w_seq, limit: Multigraph, *, d_values=None) -> ConverseR
     fit_deg = d_values[-1]
     while fit_deg > 0 and basis_dimension(base.m, fit_deg) > base.count:
         fit_deg -= 1
-    reconstructed = Pseudopolynomial(n, tuple(r.poly for r in least_squares(rec, base, fit_deg)))
+    (fits,) = least_squares(rec, base, [fit_deg])
+    reconstructed = Pseudopolynomial(n, tuple(r.poly for r in fits))
 
     fit_verdicts = {f.verdict for f in coeff_fits}
     if "not-geometric" in fit_verdicts:

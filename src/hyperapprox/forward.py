@@ -5,9 +5,11 @@ fiberwise and graph Hausdorff distances across the degree range.
 
 The pipeline reads F once, as its (N, n) array of coefficient samples on K.
 That array gives the target multigraph, the fit floor's scale and every
-degree's fits, one least-squares solve per degree for all n columns; each
-approximant's coefficient samples are the values its fits already
-computed.  Target and approximants share one solve path, sample_multigraph.
+degree's fits, all n columns at every degree from one least_squares call
+(one QR per run); each approximant's coefficient samples are the values
+its fits already computed.  Target and approximants share one solve path,
+sample_multigraph, and every degree's graph distance queries the target's
+one k-d tree (see fiberwise_hausdorff).
 """
 
 from __future__ import annotations
@@ -115,8 +117,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
     coeff_scale = max(1.0, float(np.abs(coeffs).max()))
     fit_floor = max(RATE_FLOOR, 10.0 * DEFAULT_TOL * coeff_scale)
 
-    def run_degree(d: int):
-        fits = least_squares(coeffs, K, d)
+    def run_degree(d: int, fits: tuple):
         approx_mg = sample_multigraph(K, np.column_stack([r.values for r in fits]))
         keep = ~np.isin(np.arange(K.count), target.flagged + approx_mg.flagged)
         if not keep.any():
@@ -134,7 +135,7 @@ def forward_rate_experiment(F: Pseudopolynomial, K: SampledCompact, d_range) -> 
             fibers=approx_mg.fibers,
         )
 
-    records = tuple(run_degree(d) for d in d_list)
+    records = tuple(map(run_degree, d_list, least_squares(coeffs, K, d_list)))
 
     delta_fit = fit_geometric_rate([(r.d, r.delta) for r in records], floor=fit_floor)
     graph_fit = fit_geometric_rate([(r.d, r.graph_dh) for r in records], floor=fit_floor)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -128,6 +129,13 @@ class Multigraph:
         """All points (x, t) of the sampled graph, shape (N * n, m + 1), x-major."""
         return np.column_stack([np.repeat(self.base.points, self.n, axis=0), self.fibers.ravel()])
 
+    @cached_property
+    def _tree(self):
+        """k-d tree of the whole graph in _real_graph's layout, built at the
+        first query that needs it and kept: the fibers and base are
+        read-only, so every later query against this graph reuses it."""
+        return _kdtree(_real_graph(self, slice(None)))
+
 
 # ---------------------------------------------------------------------------
 # distances
@@ -142,7 +150,22 @@ _SCREEN_EPS = 5.0
 _BOX_ABS_MARGIN = 1e-150
 
 
-def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> float:
+def _decreasing_head(bound: np.ndarray, pos: np.ndarray, count: int) -> np.ndarray:
+    """The first count entries of pos[np.argsort(-bound[pos], kind="stable")]
+    without sorting the rest: a partition finds the count-th largest bound,
+    every row above it is taken, and of the rows tied at it the earliest in
+    pos fill the block, as the stable sort keeps them."""
+    if pos.size > count:
+        vals = bound[pos]
+        cut = np.partition(vals, pos.size - count)[pos.size - count]
+        take = vals > cut
+        take[np.flatnonzero(vals == cut)[:count - np.count_nonzero(take)]] = True
+        pos = pos[take]
+    return pos[np.argsort(-bound[pos], kind="stable")]
+
+
+def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray,
+                      b_graph: Multigraph | None = None) -> float:
     """sup over a of the distance to b, given bound[i] >= dist(a_i, b) that is
     exact where it is 0, and attained up to rounding by a partner point of b
     that differs from a_i only in the last column of each half (the fiber's
@@ -153,6 +176,13 @@ def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> 
     1e-12 relative, is at most the running max, against one k-d tree on the
     points of b that a queried row's nearest neighbour can be.  The result is
     the same float as querying every row of a against a tree on all of b.
+
+    Order: the rows run by decreasing bound, ties by increasing index (a
+    stable sort).  The first block is _decreasing_head's.  After it, only
+    the rows whose widened bound still exceeds the running max are sorted:
+    the widening is monotone, so they are a prefix of the full order that
+    starts with the first block, every later block is the same slice of
+    it, and the rows cut off would all have been skipped.
 
     Box: with U the largest bound and M = U (1 + 1e-12) + 1e-150, the tree
     holds the points of b inside the bounding box of the rows with bound > 0,
@@ -166,6 +196,9 @@ def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> 
     so no point outside the box is nearer than the partner, which lies inside
     it.  The tree computes the same float for the same pair of points
     whatever other points it holds, so the nearest distance is unchanged.
+    Kept tree: when the box holds every point and b_re is all of the graph
+    b_graph (the caller passes it only then), the query runs against
+    b_graph's kept tree instead of a new one.
 
     Screen: after the first block, each block is first queried with the
     (1 + eps)-approximate search bounded by the running max.  A finite
@@ -174,24 +207,24 @@ def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> 
     max cannot raise it.  Only the other rows, those that returned inf
     included, get the exact query.
     """
-    order = np.flatnonzero(bound > 0)
-    if order.size == 0:
+    pos = np.flatnonzero(bound > 0)
+    if pos.size == 0:
         return 0.0
-    order = order[np.argsort(-bound[order], kind="stable")]
+    head = _decreasing_head(bound, pos, _QUERY_BLOCK)
     # coordinate-major copies: numpy reduces contiguous rows far faster than
     # the columns of a narrow (N, 2m + 2) array
-    cand = np.take(a_re.T, order, axis=1)
-    margin = bound[order[0]] * (1.0 + 1e-12) + _BOX_ABS_MARGIN
+    cand = np.take(a_re.T, pos, axis=1)
+    margin = bound[head[0]] * (1.0 + 1e-12) + _BOX_ABS_MARGIN
     lo, hi = cand.min(axis=1) - margin, cand.max(axis=1) + margin
     coords = b_re.T.copy()
     out = (coords.min(axis=1) < lo) | (coords.max(axis=1) > hi)
     if out.any():
         cols = coords[out]
-        b_re = b_re[((cols >= lo[out, None]) & (cols <= hi[out, None])).all(axis=0)]
-    tree = _kdtree(b_re)
-    best, start, size = 0.0, 0, _QUERY_BLOCK
-    while start < order.size:
-        rows = order[start:start + size]
+        tree = _kdtree(b_re[((cols >= lo[out, None]) & (cols <= hi[out, None])).all(axis=0)])
+    else:
+        tree = _kdtree(b_re) if b_graph is None else b_graph._tree
+    best, start, size, rows, order = 0.0, 0, _QUERY_BLOCK, head, None
+    while True:
         block = a_re[rows[bound[rows] * (1.0 + 1e-12) > best]]
         if not block.size:
             break
@@ -201,6 +234,10 @@ def _directed_bounded(a_re: np.ndarray, b_re: np.ndarray, bound: np.ndarray) -> 
         if block.size:
             best = max(best, float(np.max(tree.query(block, k=1)[0])))
         start, size = start + size, 2 * size
+        if order is None:
+            live = pos[bound[pos] * (1.0 + 1e-12) > best]
+            order = live[np.argsort(-bound[live], kind="stable")]
+        rows = order[start:start + size]
     return best
 
 
@@ -275,7 +312,7 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
     tree distance is at most the running max, and the max is the same float
     as the full query's.
 
-    Two more exact savings (argued in _directed_bounded).  Box: the k-d tree
+    More exact savings (argued in _directed_bounded).  Box: the k-d tree
     holds only the points of the other graph inside the bounding box of the
     points with u > 0, widened by max u (1 + 1e-12) + 1e-150; the margin keeps
     every partner inside and every point outside farther, in the tree's own
@@ -283,7 +320,11 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
     after the first block, a point whose (1 + eps)-approximate distance,
     bounded by the running max, is finite and at most that max is not queried
     exactly: that answer is the distance to an actual point, so the exact
-    one is no larger.
+    one is no larger.  Kept tree: with no base point masked, a direction
+    whose box holds every point of the other graph queries that graph's
+    whole-graph tree, built at its first such query and kept with the
+    Multigraph, so forward's target builds one tree per run; it holds the
+    same points, in the same order, as the tree it replaces.
     """
     if keep is not None:
         keep = np.asarray(keep)
@@ -297,8 +338,10 @@ def fiberwise_hausdorff(y: Multigraph, w: Multigraph, keep: np.ndarray | None = 
     uy, uw = uy[sel], uw[sel]
     a, b = _real_graph(y, sel), _real_graph(w, sel)
     delta = float(max(uy.max(), uw.max()))
-    return DeltaResult(delta, max(_directed_bounded(a, b, uy.ravel()),
-                                  _directed_bounded(b, a, uw.ravel())))
+    # unmasked rows are whole graphs, whose kept trees may serve the query
+    gy, gw = (y, w) if keep is None else (None, None)
+    return DeltaResult(delta, max(_directed_bounded(a, b, uy.ravel(), gw),
+                                  _directed_bounded(b, a, uw.ravel(), gy)))
 
 
 # ---------------------------------------------------------------------------

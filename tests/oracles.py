@@ -10,8 +10,11 @@ least squares from an orthonormal Chebyshev basis, the three-term
 Chebyshev recurrence for extremal-function growth, exact
 point-to-segment distances for the Hausdorff distance of polylines, the
 plain Hausdorff distance of finite samples by querying every point, a
-direct walk of the JSON expression tree for coefficient functions, and a
-column-by-column loop for the monomial Vandermonde matrix.
+direct walk of the JSON expression tree for coefficient functions, a
+column-by-column loop for the monomial Vandermonde matrix, numpy's lstsq on
+one degree's Vandermonde columns with its own rank rule, a replay of the
+library's graded QR solve, and a full stable sort for the order in which
+the graph distance queries its points.
 
 The plain Hausdorff distance is the unpruned reference for the library's
 fiberwise_hausdorff, which must return the same float; it therefore
@@ -317,3 +320,45 @@ def vandermonde_loop(w: np.ndarray, exponents) -> np.ndarray:
                 col = col * power
         cols.append(col)
     return np.column_stack(cols)
+
+
+def lstsq_fit(V: np.ndarray, F: np.ndarray):
+    """One degree's least-squares fit on its own Vandermonde columns V (N, k)
+    by numpy's lstsq with its default rank rule, rcond = eps max(N, k):
+    (coefficients, rank, singular values of V)."""
+    c, _, rank, sv = np.linalg.lstsq(V, F, rcond=None)
+    return c, int(rank), sv
+
+
+def ls_values_bound(sv: np.ndarray, rank: int, F: np.ndarray) -> np.ndarray:
+    """Per-column bound on the 2-norm distance between the fitted values V c
+    of two backward stable least-squares solvers of the same problem.
+
+    With normwise backward error e and kappa = s_1 / s_rank (the kept
+    singular values sv of V), each solver's residual, and so its fitted
+    values F - r, lies within e (1 + 2 kappa) ||F_j|| of the exact one
+    (Higham, Accuracy and Stability, 2nd ed., Thm 20.1).  e is taken as
+    max(N, k) eps for each solver, so the two differ by at most twice that.
+    """
+    F = np.asarray(F).reshape(np.shape(F)[0], -1)
+    e = max(F.shape[0], sv.size) * np.finfo(float).eps
+    kappa = sv[0] / sv[rank - 1]
+    return 2.0 * e * (1.0 + 2.0 * kappa) * np.linalg.norm(F, axis=0)
+
+
+def graded_qr_fit(V: np.ndarray, F: np.ndarray, k: int):
+    """The library's graded solve replayed: Householder QR of the top
+    degree's Vandermonde matrix V, G = Q^H F, and lstsq of
+    R[:k, :k] c = G[:k] at rcond = eps max(N, k): (coefficients, rank)."""
+    Q, R = np.linalg.qr(V)
+    G = Q.conj().T @ F
+    c, _, rank, _ = np.linalg.lstsq(R[:k, :k], G[:k],
+                                    rcond=np.finfo(float).eps * max(V.shape[0], k))
+    return c, int(rank)
+
+
+def stable_decreasing_order(bound: np.ndarray) -> np.ndarray:
+    """Indices of the positive entries of bound by decreasing value, ties by
+    increasing index: one full stable sort."""
+    pos = np.flatnonzero(bound > 0)
+    return pos[np.argsort(-bound[pos], kind="stable")]

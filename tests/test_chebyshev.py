@@ -14,11 +14,29 @@ from hyperapprox.chebyshev import (
 from hyperapprox.sets_metrics import SampledCompact, sample_box, sample_disc, sample_segment
 from tests.oracles import (
     exp_cheb_tail,
+    graded_qr_fit,
     grid_minimax_constant,
     lebesgue_constant,
     lp_minimax,
+    ls_values_bound,
+    lstsq_fit,
     vandermonde_loop,
 )
+
+EPS = np.finfo(float).eps
+
+
+def _fit(F, K, d: int):
+    """The per-column fits of a one-degree least_squares call."""
+    (fits,) = least_squares(F, K, [d])
+    return fits
+
+
+def _assert_values_are_the_polynomial(res, pts, k: int):
+    # values is V_k c; with |w| <= 1 in the unit box each side sums k terms
+    # of the same power tables, so they differ by at most 2 k eps sum |c_e|
+    coeff_sum = sum(abs(c) for _, c in res.poly.terms)
+    assert np.abs(res.values - res.poly.evaluate_many(pts)).max() <= 2 * k * EPS * coeff_sum
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +47,7 @@ def segment_401():
 def test_reproduces_polynomial(segment_401):
     x = segment_401.points[:, 0]
     f = 0.3 * x ** 3 - 1.2 * x + 0.7
-    (res,) = least_squares(f, segment_401, 5)
+    (res,) = _fit(f, segment_401, 5)
     assert res.error <= 1e-10
     assert np.abs(res.poly.evaluate_many(segment_401.points) - f).max() <= 1e-9
 
@@ -39,7 +57,7 @@ def test_constant_minimax_matches_grid_oracle(segment_401):
     # best constant
     x = segment_401.points[:, 0].real
     f = np.exp(x)
-    (res,) = least_squares(f, segment_401, 0)
+    (res,) = _fit(f, segment_401, 0)
     oracle = grid_minimax_constant(f)
     assert oracle == pytest.approx((np.e - 1.0 / np.e) / 2.0, rel=1e-3)
     lam0 = lebesgue_constant(x, 0)
@@ -52,13 +70,13 @@ def test_least_squares_upper_bounds_minimax(segment_401):
     f = np.exp(x)
     for d in (0, 2, 5):
         mm = lp_minimax(x, f, d)
-        ls = least_squares(f, segment_401, d)[0].error
+        ls = _fit(f, segment_401, d)[0].error
         assert 1e-6 < mm <= ls + 1e-15
 
 
 def test_error_monotone_in_degree(segment_401):
     f = np.exp(segment_401.points[:, 0])
-    errs = [least_squares(f, segment_401, d)[0].error for d in range(0, 12)]
+    errs = [_fit(f, segment_401, d)[0].error for d in range(0, 12)]
     for lo, hi in zip(errs[1:], errs[:-1]):
         assert lo <= hi + 1e-12
 
@@ -66,13 +84,15 @@ def test_error_monotone_in_degree(segment_401):
 def test_rank_error_names_rank():
     sc = sample_segment(-1.0, 1.0, 5)
     with pytest.raises(ValueError, match="rank"):
-        least_squares(np.ones(5), sc, 5)
+        least_squares(np.ones(5), sc, [5])
+    # checked at the top degree, wherever it stands in the list
     with pytest.raises(ValueError, match="rank"):
-        least_squares(np.ones((5, 3)), sc, 5)
+        least_squares(np.ones((5, 3)), sc, [5, 2])
 
 
-# every fit's error is far above rounding (1e-4 or more), so agreement to
-# rel 1e-12 compares the fits rather than the rounding of the two solves
+# every fit's error is far above rounding (1e-4 or more), so agreement of
+# the values to rel 1e-12 compares the fits rather than the rounding of the
+# two solves
 _BATCH_CASES = {
     "real-box": (
         sample_box([(-1.0, 2.0), (0.0, 1.0)], 12), 5,
@@ -98,14 +118,17 @@ _BATCH_CASES = {
 def test_least_squares_column_matches_one_column_fit(case):
     K, d, *fns = _BATCH_CASES[case]
     F = np.column_stack([fn(K.points) for fn in fns])
-    batch = least_squares(F, K, d)
+    batch = _fit(F, K, d)
     assert len(batch) == F.shape[1]
     for j, res in enumerate(batch):
-        (alone,) = least_squares(F[:, j], K, d)
-        assert res.error == pytest.approx(alone.error, rel=1e-12, abs=0.0)
-        assert np.abs(res.values - alone.values).max() <= 1e-12 * np.abs(alone.values).max()
+        (alone,) = _fit(F[:, j], K, d)
+        gap = np.abs(res.values - alone.values).max()
+        assert gap <= 1e-12 * np.abs(alone.values).max()
+        # the sup-norm triangle inequality, plus the rounding of the two
+        # differences and moduli
+        assert abs(res.error - alone.error) <= gap + 4 * EPS * alone.error
         assert res.rank == basis_dimension(K.m, d)
-        assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
+        _assert_values_are_the_polynomial(res, K.points, basis_dimension(K.m, d))
         assert res.error == np.abs(F[:, j] - res.values).max()
 
 
@@ -118,7 +141,7 @@ def test_two_variable_fit():
     K = sample_box([(-1.0, 1.0), (-1.0, 1.0)], per_axis=15)
     x, y = K.points[:, 0], K.points[:, 1]
     f = (x * y + 0.5 * x ** 2).real
-    (res,) = least_squares(f, K, 2)
+    (res,) = _fit(f, K, 2)
     assert res.error <= 1e-10
 
 
@@ -126,7 +149,7 @@ def test_scalar_rate_exp_geometric(segment_401):
     f = np.exp(segment_401.points[:, 0])
     errors, fit = scalar_bws_rate(f, segment_401, range(15, -1, -1))
     assert [d for d, _ in errors] == list(range(16))
-    assert errors[5][1] == least_squares(f, segment_401, 5)[0].error
+    assert errors[5][1] == least_squares(f, segment_401, list(range(16)))[5][0].error
     assert fit.verdict == "geometric"
     assert fit.theta < 0.5
 
@@ -137,7 +160,7 @@ def test_scalar_rate_exp_cross_checked_against_chebyshev_series(segment_401):
     x = segment_401.points[:, 0].real
     f = np.exp(x)
     for d in range(0, 12):
-        err = least_squares(f, segment_401, d)[0].error
+        err = _fit(f, segment_401, d)[0].error
         tail = exp_cheb_tail(d)
         assert 0.05 * tail <= err <= (1.0 + lebesgue_constant(x, d)) * tail * 1.01
     # the minimax error itself, where the LP oracle resolves it
@@ -207,8 +230,8 @@ def test_error_invariant_under_affine_maps(case):
     unit = _UNIT_SAMPLES[shape]
     f = _UNIT_FUNCTIONS[shape][fn](unit.points)
     K = SampledCompact(center + scale * unit.points, mesh=unit.mesh * scale.max())
-    want = least_squares(f, unit, d)[0].error
-    (got,) = least_squares(f, K, d)
+    want = _fit(f, unit, d)[0].error
+    (got,) = _fit(f, K, d)
     assert abs(got.error - want) <= max(1e-6 * want, 1e-12)
     assert np.allclose(got.poly.center, center, rtol=0, atol=1e-12 * (1 + np.abs(center)))
     assert np.allclose(got.poly.scale, scale, rtol=1e-12)
@@ -217,18 +240,19 @@ def test_error_invariant_under_affine_maps(case):
 def test_translated_segment_keeps_its_map():
     K = sample_segment(9.0, 11.0, 401)
     x = K.points[:, 0]
-    (res,) = least_squares(np.exp(x - 10.0), K, 20)
+    (res,) = _fit(np.exp(x - 10.0), K, 20)
     assert res.error <= 1e-13
     assert res.poly.center == (10.0 + 0j,) and res.poly.scale == (1.0,)
-    # the error is that of the returned polynomial
-    assert res.error == np.abs(np.exp(x - 10.0) - res.poly.evaluate_many(K.points)).max()
+    # the error is that of the returned polynomial, up to the values' bound
+    assert res.error == np.abs(np.exp(x - 10.0) - res.values).max()
+    _assert_values_are_the_polynomial(res, K.points, 21)
 
 
 def test_values_are_the_polynomial_on_the_samples():
     K = sample_box([(-1.0, 2.0), (0.0, 1.0)], 9)
     f = np.exp(K.points[:, 0] * K.points[:, 1]) + 1j * np.sin(K.points[:, 0])
-    (res,) = least_squares(f, K, 4)
-    assert np.array_equal(res.values, res.poly.evaluate_many(K.points))
+    (res,) = _fit(f, K, 4)
+    _assert_values_are_the_polynomial(res, K.points, basis_dimension(2, 4))
     assert res.error == np.abs(f - res.values).max()
 
 
@@ -258,15 +282,132 @@ def _fit_cases():
 
 @pytest.mark.parametrize("name, K, F, d", _fit_cases(), ids=["real", "complex"])
 def test_least_squares_poly_equals_from_terms(name, K, F, d):
-    fits = least_squares(F, K, d)
-    center, scale = fits[0].poly.center, fits[0].poly.scale
+    # a graded call: the lower degree's fit reads the leading block of the
+    # top degree's R
+    graded = least_squares(F, K, [d - 2, d])
+    center, scale = graded[0][0].poly.center, graded[0][0].poly.scale
     w = (K.points - np.array(center)) / np.array(scale)
-    V = vandermonde_loop(w.real if name == "real" else w, _multi_indices(K.m, d))
-    coeffs = np.linalg.lstsq(V, F.real if name == "real" else F, rcond=None)[0]
-    for j, fit in enumerate(fits):
-        want = Polynomial.from_terms(K.m, zip(_multi_indices(K.m, d), coeffs[:, j]), center, scale)
-        assert fit.poly == want
-        assert repr(fit.poly) == repr(want)  # same types, same signed zeros
-    # the all-zero column is the zero polynomial
-    assert fits[1].poly.terms == () and fits[1].poly.degree == -1
-    assert fits[1].error == 0.0
+    exponents = _multi_indices(K.m, d)
+    V = vandermonde_loop(w.real if name == "real" else w, exponents)
+    rhs = F.real if name == "real" else F
+    for dd, fits in zip([d - 2, d], graded):
+        k = basis_dimension(K.m, dd)
+        coeffs, rank = graded_qr_fit(V, rhs, k)
+        ref, ref_rank, sv = lstsq_fit(V[:, :k], rhs)
+        assert rank == ref_rank == k
+        kappa = sv[0] / sv[k - 1]
+        for j, fit in enumerate(fits):
+            want = Polynomial.from_terms(K.m, zip(exponents[:k], coeffs[:, j]), center, scale)
+            assert fit.poly == want
+            assert repr(fit.poly) == repr(want)  # same types, same signed zeros
+            assert fit.rank == k
+            # numpy's lstsq on V_k solves the same problem; with backward
+            # error e = max(N, k) eps for each solver, the least-squares
+            # sensitivity e (2 kappa + kappa^2 ||r|| / (||V_k|| ||c||))
+            # (Golub & Van Loan, 4th ed., Thm 5.3.1) bounds both
+            c_norm = np.linalg.norm(ref[:, j])
+            r_norm = np.linalg.norm(rhs[:, j] - V[:, :k] @ ref[:, j])
+            rel = 2 * kappa + kappa ** 2 * r_norm / (sv[0] * c_norm) if c_norm else 0.0
+            tol = 2 * max(K.count, k) * EPS * rel
+            assert np.linalg.norm(coeffs[:, j] - ref[:, j]) <= tol * c_norm
+        # the all-zero column is the zero polynomial
+        assert fits[1].poly.terms == () and fits[1].poly.degree == -1
+        assert fits[1].error == 0.0
+
+
+@pytest.mark.parametrize("degrees", [[], [3, -1], [-2]])
+def test_least_squares_rejects_bad_degree_lists(degrees, segment_401):
+    with pytest.raises(ValueError, match="degrees"):
+        least_squares(np.ones(segment_401.count), segment_401, degrees)
+
+
+def test_graded_results_follow_the_given_order(segment_401):
+    f = np.exp(segment_401.points[:, 0])
+    fits = least_squares(f, segment_401, [7, 2, 7, 0])
+    assert [fit.poly.degree for (fit,) in fits] == [7, 2, 7, 0]
+    assert [fit.rank for (fit,) in fits] == [8, 3, 8, 1]
+    assert fits[0][0].poly == fits[2][0].poly
+    assert np.array_equal(fits[0][0].values, fits[2][0].values)
+
+
+_MAX_DEGREE = {1: 10, 2: 6, 3: 4}
+
+
+@st.composite
+def _graded_case(draw):
+    """Samples in the unit box (real) or polydisc (complex) of C^m and a
+    random list of degrees.  Full-rank samples draw N >= 2 k_top distinct
+    points; the rank-deficient kinds put the points of C^2 on x1 = x0, or
+    repeat fewer distinct points than the top basis dimension."""
+    kind = draw(st.sampled_from(["full", "full", "diagonal", "duplicated"]))
+    m = 2 if kind == "diagonal" else draw(st.integers(1, 3))
+    degrees = draw(st.lists(st.integers(0, _MAX_DEGREE[m]), min_size=1, max_size=4))
+    k_top = basis_dimension(m, max(degrees))
+    complex_pts, complex_f = draw(st.booleans()), draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def points(count, dim):
+        pts = rng.uniform(-1, 1, (count, dim))
+        return pts + 1j * rng.uniform(-1, 1, (count, dim)) if complex_pts else pts + 0j
+
+    if kind == "full":
+        pts = points(2 * k_top + draw(st.integers(0, 20)), m)
+    elif kind == "diagonal":
+        pts = np.repeat(points(2 * k_top, 1), 2, axis=1)
+    else:
+        distinct = points(draw(st.integers(1, max(1, k_top - 1))), m)
+        pts = distinct[np.arange(k_top + draw(st.integers(0, 10))) % len(distinct)]
+    cols = draw(st.integers(1, 3))
+    F = rng.normal(size=(len(pts), cols))
+    if complex_f:
+        F = F + 1j * rng.normal(size=F.shape)
+    return pts, F, degrees
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_graded_case())
+def test_graded_fit_matches_one_degree_lstsq(case):
+    # every degree of one graded call against numpy's lstsq on that degree's
+    # own Vandermonde columns: equal rank, and values and errors within the
+    # backward-stability bound of the two solvers
+    pts, F, degrees = case
+    graded = least_squares(F, pts, degrees)
+    assert len(graded) == len(degrees)
+    m = pts.shape[1]
+    center, scale = graded[0][0].poly.center, graded[0][0].poly.scale
+    w = (pts - np.array(center)) / np.array(scale)
+    real = not w.imag.any() and not F.imag.any()
+    rhs = F.real if real else F
+    for d, fits in zip(degrees, graded):
+        k = basis_dimension(m, d)
+        V = vandermonde_loop(w.real if real else w, _multi_indices(m, d))
+        ref, rank, sv = lstsq_fit(V, rhs)
+        ref_values = V @ ref
+        bound = ls_values_bound(sv, rank, rhs)
+        for j, fit in enumerate(fits):
+            assert fit.rank == rank
+            gap = np.abs(fit.values - ref_values[:, j]).max()
+            assert gap <= bound[j]
+            ref_error = np.abs(F[:, j] - ref_values[:, j]).max()
+            assert abs(fit.error - ref_error) <= bound[j] + 4 * EPS * ref_error
+            assert fit.error == np.abs(F[:, j] - fit.values).max()
+            _assert_values_are_the_polynomial(fit, pts, k)
+
+
+def test_rank_rule_on_an_ill_conditioned_segment():
+    # the monomial basis on 801 points of [-1, 1] loses rank near d = 36
+    # (condition numbers above 1e13): the graded solve keeps lstsq's rank
+    # rule on V_k, rcond = eps max(N, k), not the eps k that lstsq on the
+    # k x k block would default to.  At these degrees every singular value
+    # lies at least 1.5 times away from that threshold, so the ranks do not
+    # hang on rounding.
+    K = sample_segment(-1.0, 1.0, 801)
+    x = K.points[:, 0]
+    f = 1.0 / (1.0 + 25.0 * x ** 2)
+    V = vandermonde_loop(x.real.reshape(-1, 1), _multi_indices(1, 40))
+    for d, (fit,) in zip([36, 40], least_squares(f, K, [36, 40])):
+        k = d + 1
+        ref, rank, sv = lstsq_fit(V[:, :k], f.real)
+        assert fit.rank == rank < np.count_nonzero(sv > k * EPS * sv[0]) <= k
+        ref_error = np.abs(f - V[:, :k] @ ref).max()
+        assert abs(fit.error - ref_error) <= ls_values_bound(sv, rank, f.real)[0] + 4 * EPS * ref_error

@@ -422,8 +422,9 @@ def test_forward_rank_loss_exits_3(tmp_path, monkeypatch):
     # a rank-deficient fit fails a named check; the artifact is still written
     fit = forward.least_squares
 
-    def lose_one_rank(samples, points, d):
-        return tuple(dataclasses.replace(r, rank=r.rank - 1) for r in fit(samples, points, d))
+    def lose_one_rank(samples, points, degrees):
+        return tuple(tuple(dataclasses.replace(r, rank=r.rank - 1) for r in fits)
+                     for fits in fit(samples, points, degrees))
 
     monkeypatch.setattr(forward, "least_squares", lose_one_rank)
     out = tmp_path / "fwd"

@@ -3,12 +3,25 @@ import warnings
 import numpy as np
 import pytest
 
-from hyperapprox.algebra import Const, Coord, Exp, Neg, Polynomial, Pseudopolynomial
-from hyperapprox import forward
+from hyperapprox.algebra import (
+    Add,
+    Const,
+    Coord,
+    Cos,
+    Exp,
+    Mul,
+    Neg,
+    Polynomial,
+    Pseudopolynomial,
+    Sin,
+)
+from hyperapprox import forward, sets_metrics
 from hyperapprox.chebyshev import basis_dimension, least_squares
 from hyperapprox.forward import forward_rate_experiment, sample_multigraph
 from hyperapprox.roots import hoelder_check, match_roots
-from hyperapprox.sets_metrics import SampledCompact, sample_segment
+from hyperapprox.extremal import Box
+from hyperapprox.sets_metrics import Multigraph, SampledCompact, sample_box, sample_segment
+from tests.oracles import hausdorff
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +40,7 @@ def test_algebraic_input_hits_floor(K401):
     a2 = Polynomial.from_coeffs_1d([-3.0, 0.0, 0.0, -1.0])  # -(x^3 + 3)
     F = Pseudopolynomial(2, (Const(0.0), a2))
     coeffs = F.coefficients_at(K401.points)
-    assert max(r.error for r in least_squares(coeffs, K401, 5)) <= 1e-10
+    assert max(r.error for r in least_squares(coeffs, K401, [5])[0]) <= 1e-10
     exp = forward_rate_experiment(F, K401, range(3, 13))
     assert max(r.delta for r in exp.records) <= 1e-10
     assert exp.delta_fit.theta == 0.0
@@ -37,43 +50,94 @@ def test_algebraic_input_hits_floor(K401):
 def test_coefficient_error_equals_one_column_fit(exp_experiment, K401):
     # exp_experiment's F is t^2 - e^x
     (rec,) = [r for r in exp_experiment.records if r.d == 8]
-    (direct,) = least_squares(-np.exp(K401.points[:, 0]), K401, 8)
+    ((direct,),) = least_squares(-np.exp(K401.points[:, 0]), K401, [8])
     assert rec.coeff_errors[1] == pytest.approx(direct.error, rel=1e-9)
 
 
 def test_one_fit_per_degree(K401, monkeypatch):
-    # all n coefficient columns of a degree share one least-squares solve
+    # all n coefficient columns at every degree come from one least_squares
+    # call, which factors one Vandermonde matrix
     calls = []
 
-    def counted(samples, points, d):
-        calls.append((samples.shape, d))
-        return least_squares(samples, points, d)
+    def counted(samples, points, degrees):
+        calls.append((samples.shape, list(degrees)))
+        return least_squares(samples, points, degrees)
 
     monkeypatch.setattr(forward, "least_squares", counted)
     F = Pseudopolynomial(3, (Const(0.5), Neg(Exp(Coord(0))), Const(0.1)))
     exp = forward_rate_experiment(F, K401, range(3, 10))
-    assert calls == [((K401.count, 3), d) for d in range(3, 10)]
+    assert calls == [((K401.count, 3), list(range(3, 10)))]
     assert [(r.rank, r.basis_dim) for r in exp.records] == [
         (basis_dimension(1, d), basis_dimension(1, d)) for d in range(3, 10)
     ]
     assert exp.checks["full_rank"]
 
 
+def test_diagonal_box_sample_fails_full_rank():
+    # on x1 = x0 the degree-d monomials in (x0, x1) span only the d + 1
+    # powers of x0: the graded solve reads that rank with no patch
+    x = np.linspace(-1.0, 1.0, 41)
+    K = SampledCompact(np.column_stack([x, x]), mesh=0.05, shape=Box(((-1.0, 1.0), (-1.0, 1.0))))
+    F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))
+    exp = forward_rate_experiment(F, K, range(2, 8))
+    assert all(r.rank == r.d + 1 < r.basis_dim for r in exp.records)
+    assert exp.checks["full_rank"] is False
+
+
+def test_forward_box_run_factors_once_and_keeps_the_target_tree(monkeypatch):
+    # a run shaped like the forward-box benchmark: one QR for all ten
+    # degrees, and 11 k-d trees (each approximant's and the target's once,
+    # against 20 when every query built its own), with every graph
+    # distance bitwise the plain Hausdorff distance
+    trees, qrs = [], []
+    real_tree, real_qr = sets_metrics._kdtree, np.linalg.qr
+
+    def counted_tree(points):
+        trees.append(points.shape)
+        return real_tree(points)
+
+    def counted_qr(*args, **kwargs):
+        qrs.append(args[0].shape)
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(sets_metrics, "_kdtree", counted_tree)
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    K = sample_box([(-1.0, 1.0), (-1.0, 1.0)], 21)
+    x0, x1 = Coord(0), Coord(1)
+    F = Pseudopolynomial(3, (Sin(Add((x0, x1))), Neg(Exp(x0)), Cos(Mul((x0, x1)))))
+    exp = forward_rate_experiment(F, K, range(3, 13))
+    assert qrs == [(441, basis_dimension(2, 12))]
+    assert trees == [(1323, 6)] * 11
+    assert all(r.flagged_count == 0 for r in exp.records)
+    target = exp.target.graph_points()
+    for rec in exp.records:
+        approx = Multigraph(K, rec.fibers, 3).graph_points()
+        assert rec.graph_dh == hausdorff(target, approx)
+
+
 def test_forward_evaluates_F_once(K401, monkeypatch):
-    calls = []
+    calls, fitted = [], []
     original = Pseudopolynomial.coefficients_at
 
     def counted(self, pts):
         calls.append(self)
         return original(self, pts)
 
+    def kept(samples, points, degrees):
+        fitted.append(least_squares(samples, points, degrees))
+        return fitted[-1]
+
     monkeypatch.setattr(Pseudopolynomial, "coefficients_at", counted)
+    monkeypatch.setattr(forward, "least_squares", kept)
     F = Pseudopolynomial(2, (Const(0.0), Neg(Exp(Coord(0)))))
     exp = forward_rate_experiment(F, K401, range(2, 8))
     assert calls == [F]
     # each approximant's fibers solve the coefficient values its fits computed
-    for rec in exp.records:
-        vals = np.column_stack([p.evaluate_many(K401.points) for p in rec.coeff_polys])
+    (per_degree,) = fitted
+    assert len(per_degree) == len(exp.records)
+    for rec, fits in zip(exp.records, per_degree):
+        assert rec.coeff_polys == tuple(r.poly for r in fits)
+        vals = np.column_stack([r.values for r in fits])
         assert np.array_equal(rec.fibers, sample_multigraph(K401, vals).fibers)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hyperapprox import sets_metrics
 from hyperapprox.demos import build_counterexample, counterexample_rates
 from hyperapprox.sets_metrics import (
     Multigraph,
@@ -17,7 +18,7 @@ from hyperapprox.sets_metrics import (
     sample_disc,
     sample_segment,
 )
-from tests.oracles import hausdorff
+from tests.oracles import hausdorff, stable_decreasing_order
 
 
 def _compact(points, mesh=1e-3):
@@ -116,7 +117,7 @@ def test_graph_distance_above_delta_fails_forward_check(monkeypatch, tmp_path):
     from hyperapprox.forward import forward_rate_experiment
 
     real = sets_metrics._directed_bounded
-    monkeypatch.setattr(sets_metrics, "_directed_bounded", lambda a, b, u: real(a, b, u) + 1.0)
+    monkeypatch.setattr(sets_metrics, "_directed_bounded", lambda *args: real(*args) + 1.0)
     K = sample_segment(-1.0, 1.0, 101)
     F = Pseudopolynomial(2, (Const(0.0), Polynomial.from_coeffs_1d([-2.0, -1.0])))
     exp = forward_rate_experiment(F, K, range(1, 9))
@@ -191,6 +192,55 @@ def test_staircase_graph_distance_equals_unpruned_path():
     for row in rows:
         g_mg = Multigraph(base, stair.f_k(row.k, xs).reshape(-1, 1), 1)
         assert fiberwise_hausdorff(f_mg, g_mg).graph_dh == row.graph_dh == _unpruned(f_mg, g_mg)[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_multigraph_pairs())
+def test_kept_trees_give_the_unpruned_distance(pair):
+    # unmasked queries may run against a graph's kept tree; repeated and
+    # swapped calls, which reuse it, still give the unpruned distance
+    y, w, _ = pair
+    want = _unpruned(y, w)
+    for first, second in ((y, w), (w, y), (y, w)):
+        res = fiberwise_hausdorff(first, second)
+        assert (res.delta, res.graph_dh) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]) | st.floats(0.0, 4.0),
+                max_size=300),
+       st.sampled_from([1, 2, 64]))
+def test_decreasing_head_is_the_stable_order(values, count):
+    # the partitioned first block is the head of one full stable sort,
+    # ties included
+    bound = np.array(values, dtype=float)
+    order = stable_decreasing_order(bound)
+    head = sets_metrics._decreasing_head(bound, np.flatnonzero(bound > 0), count)
+    assert np.array_equal(head, order[:count])
+
+
+def test_staircase_builds_the_same_trees(monkeypatch):
+    # no staircase row keeps every point in its box, so each direction
+    # builds its own filtered tree, of the sizes it had before trees were
+    # kept, and each graph distance is bitwise the plain one
+    sizes = []
+    real = sets_metrics._kdtree
+
+    def counted(points):
+        sizes.append(points.shape[0])
+        return real(points)
+
+    monkeypatch.setattr(sets_metrics, "_kdtree", counted)
+    mesh = 2.0 ** -14
+    rows = counterexample_rates(8, mesh)
+    assert sizes == [7167, 7167, 3867, 3866, 1935, 1936, 1022, 1022, 519, 519, 262, 261, 116, 114]
+    stair = build_counterexample(8)
+    xs = np.arange(0.0, 1.0 + mesh / 2.0, mesh)
+    base = SampledCompact(xs.reshape(-1, 1).astype(complex), mesh=mesh)
+    f_mg = Multigraph(base, stair.f(xs).reshape(-1, 1), 1)
+    for row in rows:
+        g_mg = Multigraph(base, stair.f_k(row.k, xs).reshape(-1, 1), 1)
+        assert row.graph_dh == hausdorff(f_mg.graph_points(), g_mg.graph_points())
 
 
 def _tied_bound_pair():
